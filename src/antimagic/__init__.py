@@ -12,15 +12,10 @@ from .graph import (
     Labeling,
     LabelingError,
     OrientedGraph,
-    VertexClass,
-    VertexKind,
     WeightReport,
-    classify_vertex,
     d_neighborhood,
-    d_weight,
     finite_diameter,
     is_admissible,
-    shortest_distance,
     verify_labeling,
 )
 from .stars import (
@@ -72,15 +67,10 @@ __all__ = [
     "Labeling",
     "LabelingError",
     "OrientedGraph",
-    "VertexClass",
-    "VertexKind",
     "WeightReport",
-    "classify_vertex",
     "d_neighborhood",
-    "d_weight",
     "finite_diameter",
     "is_admissible",
-    "shortest_distance",
     "verify_labeling",
     "ForestSpec",
     "StarGroup",

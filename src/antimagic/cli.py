@@ -50,6 +50,7 @@ from .scan import (
 from .search import (
     UNFIT_DISTANCE_SET,
     SearchStatus,
+    VertexCapError,
     search_joint_labeling,
     search_labeling,
     vertex_cap,
@@ -93,6 +94,14 @@ def _distance_set(text: str) -> DistanceSet:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _budget(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"budget must be a non-negative integer, got {text!r}"
+        )
+    return int(text)
+
+
 def _add_distance_flag(parser) -> None:
     parser.add_argument(
         "--d",
@@ -129,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_distance_flag(construct)
     construct.add_argument("--format", choices=("json", "dot"), default="json")
     construct.add_argument(
-        "--budget", type=int, help="node budget for any search fallback"
+        "--budget", type=_budget, help="node budget for any search fallback"
     )
     construct.set_defaults(handler=_cmd_construct)
 
@@ -149,8 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("graph", help="graph document path, or - for stdin")
     _add_distance_flag(search)
     search.add_argument("--mode", choices=("first", "all", "count"), default="first")
-    search.add_argument("--budget", type=int, help="node budget; unlimited if absent")
-    search.add_argument("--workers", type=int, default=1)
+    search.add_argument("--budget", type=_budget, help="node budget; unlimited if absent")
     search.add_argument("--no-prune", dest="prune", action="store_false")
     search.add_argument("--no-symmetry", dest="symmetry", action="store_false")
     search.set_defaults(handler=_cmd_search)
@@ -160,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scan.add_argument("--spec", required=True, help="forest spec without @t")
     _add_distance_flag(scan)
-    scan.add_argument("--budget", type=int, help="node budget per table cell")
+    scan.add_argument("--budget", type=_budget, help="node budget per table cell")
     scan.add_argument(
         "--out", help="directory for the JSON table and witness files"
     )
@@ -176,7 +184,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.handler(args)
-    except _UsageError as exc:
+    except (_UsageError, VertexCapError) as exc:
         print(f"antimagic {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _DataError as exc:
@@ -466,8 +474,7 @@ def _resolve_labeling(args, doc: GraphDocument) -> Labeling:
     except json.JSONDecodeError as exc:
         raise _DataError(f"labeling is not valid JSON: {exc}") from None
     if not isinstance(mapping, dict) or not all(
-        isinstance(v, str) and isinstance(label, int)
-        for v, label in mapping.items()
+        isinstance(v, str) and type(label) is int for v, label in mapping.items()
     ):
         raise _DataError("labeling must be a JSON object mapping vertices to integers")
     return Labeling(mapping)
@@ -503,34 +510,26 @@ def _cmd_verify(args) -> int:
 
 def _cmd_search(args) -> int:
     sets = _requested_sets(args)
-    if args.workers < 1:
-        raise _UsageError("--workers must be at least 1")
     doc = _read_document(args.graph)
     g = _graph_of(doc, args.graph)
-    try:
-        if len(sets) == 1:
-            result = search_labeling(
-                g,
-                sets[0],
-                mode=args.mode,
-                budget=args.budget,
-                prune=args.prune,
-                symmetry=args.symmetry,
-                workers=args.workers,
-            )
-        else:
-            result = search_joint_labeling(
-                g,
-                sets,
-                mode=args.mode,
-                budget=args.budget,
-                prune=args.prune,
-                symmetry=args.symmetry,
-                workers=args.workers,
-            )
-    except ValueError as exc:
-        # Exhaustive modes refuse graphs above the vertex cap.
-        raise _UsageError(str(exc)) from None
+    if len(sets) == 1:
+        result = search_labeling(
+            g,
+            sets[0],
+            mode=args.mode,
+            budget=args.budget,
+            prune=args.prune,
+            symmetry=args.symmetry,
+        )
+    else:
+        result = search_joint_labeling(
+            g,
+            sets,
+            mode=args.mode,
+            budget=args.budget,
+            prune=args.prune,
+            symmetry=args.symmetry,
+        )
     payload = {
         "status": result.status.value,
         "distance_sets": [str(D) for D in sets],

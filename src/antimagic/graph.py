@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
@@ -104,8 +103,7 @@ class OrientedGraph:
 
     Loops, duplicate arcs, two-cycles and undeclared endpoints raise
     :class:`GraphError`.  Instances never mutate after construction, so
-    they are safe to share between threads and to pickle for worker
-    processes.
+    they are safe to share between threads.
     """
 
     def __init__(self, vertices: Iterable, arcs: Iterable[tuple]):
@@ -218,6 +216,12 @@ class Labeling(Mapping):
                 f"labeling does not cover the vertex set exactly: "
                 f"missing {missing_vertices!r}, extra {extra_vertices!r}"
             )
+        not_ints = {
+            v: label for v, label in self._map.items()
+            if not isinstance(label, int) or isinstance(label, bool)
+        }
+        if not_ints:
+            raise LabelingError(f"labels must be integers, got {not_ints!r}")
         n = len(g)
         seen: dict[int, list] = {}
         for v in g.vertices:
@@ -255,22 +259,6 @@ class Labeling(Mapping):
         return f"Labeling({self._map!r})"
 
 
-class VertexKind(Enum):
-    SOURCE = "source"
-    SINK = "sink"
-    INTERNAL = "internal"
-    ISOLATED = "isolated"
-
-
-@dataclass(frozen=True)
-class VertexClass:
-    """Degree-based role of a vertex inside its oriented graph."""
-
-    kind: VertexKind
-    out_degree: int
-    in_degree: int
-
-
 @dataclass(frozen=True, eq=True)
 class WeightReport:
     """Outcome of checking one labeling against one distance set.
@@ -288,28 +276,12 @@ class WeightReport:
         return not self.collisions
 
 
-def shortest_distance(g: OrientedGraph, u, v) -> int | float:
-    """Directed distance from u to v; ``UNREACHABLE`` when there is no path."""
-    return g.distance(u, v)
-
-
 def d_neighborhood(g: OrientedGraph, u, D) -> frozenset:
     """Vertices whose directed distance from u lies in the distance set."""
     D = DistanceSet.of(D)
     g._require(u)
     row = g._dist[u]
     return frozenset(v for v, d in row.items() if d in D)
-
-
-def d_weight(g: OrientedGraph, u, labeling: Labeling, D) -> int:
-    """Sum of labels over the D-neighborhood of u.
-
-    The labeling must be a bijection onto 1..|V|; an empty neighborhood
-    sums to 0.
-    """
-    labeling = labeling if isinstance(labeling, Labeling) else Labeling(labeling)
-    labeling.validate_for(g)
-    return sum(labeling[v] for v in d_neighborhood(g, u, D))
 
 
 def verify_labeling(g: OrientedGraph, labeling: Labeling, D) -> WeightReport:
@@ -351,18 +323,3 @@ def is_admissible(g: OrientedGraph, D) -> bool:
     distance set it does not fit.
     """
     return DistanceSet.of(D).largest <= finite_diameter(g)
-
-
-def classify_vertex(g: OrientedGraph, v) -> VertexClass:
-    """Classify v as source, sink, internal or isolated by its degrees."""
-    out_degree = len(g.out_neighbors(v))
-    in_degree = len(g.in_neighbors(v))
-    if out_degree == 0 and in_degree == 0:
-        kind = VertexKind.ISOLATED
-    elif in_degree == 0:
-        kind = VertexKind.SOURCE
-    elif out_degree == 0:
-        kind = VertexKind.SINK
-    else:
-        kind = VertexKind.INTERNAL
-    return VertexClass(kind=kind, out_degree=out_degree, in_degree=in_degree)

@@ -75,8 +75,9 @@ class GraphDocument:
             raise ValueError("'arcs' must be a list of [tail, head] pairs")
         labeling = payload.get("labeling")
         if labeling is not None:
+            # type() rather than isinstance(): JSON true is a bool, not label 1.
             if not isinstance(labeling, dict) or not all(
-                isinstance(v, str) and isinstance(label, int)
+                isinstance(v, str) and type(label) is int
                 for v, label in labeling.items()
             ):
                 raise ValueError("'labeling' must map vertex names to integers")

@@ -5,24 +5,22 @@ on vertices in decreasing D-degree order (largest D-neighborhood first)
 and trying labels in ascending order, which makes every result
 deterministic.  With pruning on, a partial assignment is cut as soon as
 two fully-determined weights collide; with symmetry reduction on,
-provably interchangeable vertices (identical D-neighborhood structure
-under swapping) are forced into ascending label order, and the count is
-over those canonical representatives.
+provably interchangeable vertices (twins: identical D-neighborhood
+structure under swapping) are forced into ascending label order, and
+the count is over those canonical representatives.
 
 A distance set that does not fit the graph (max(D) above the finite
 diameter) admits no D-antimagic labeling at all, so the search reports
 ``exhausted-none`` immediately and marks the shortcut.
 
-Budgets are node counts, not wall-clock, so aborts are reproducible.
-Parallel runs fan out over the first branching level and merge results
-in branch order, simulating the serial budget, so status, witness,
-count and node totals are identical for any worker count.
+Budgets are non-negative node counts, not wall-clock, so aborts are
+reproducible.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from math import factorial
@@ -68,6 +66,10 @@ class SearchResult:
     labelings: tuple[Labeling, ...] | None = None
 
 
+class VertexCapError(ValueError):
+    """An exhaustive search refused by the vertex cap, or a malformed cap."""
+
+
 def vertex_cap() -> int:
     """Vertex limit for exhaustive modes; ANTIMAGIC_NODE_CAP overrides it."""
     raw = os.environ.get(ENV_VERTEX_CAP)
@@ -76,7 +78,7 @@ def vertex_cap() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"{ENV_VERTEX_CAP} must be an integer, got {raw!r}") from None
+        raise VertexCapError(f"{ENV_VERTEX_CAP} must be an integer, got {raw!r}") from None
 
 
 class _BudgetExceeded(Exception):
@@ -124,45 +126,36 @@ class _Engine:
         if symmetry:
             self._compute_orbits()
 
-    def _interchangeable(self, u: int, v: int) -> bool:
-        def swap(x: int) -> int:
-            return v if x == u else u if x == v else x
-
-        for d in range(self.k):
-            nbs = self.nbs[d]
-            for w in range(self.n):
-                if {swap(x) for x in nbs[w]} != set(nbs[swap(w)]):
-                    return False
-        return True
-
     def _compute_orbits(self) -> None:
-        # Transpositions that preserve every D-neighborhood structure are
-        # closed under the union-find grouping: if (u,v) and (v,w) both
-        # preserve it then so does (u,w).
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if find(u) != find(v) and self._interchangeable(u, v):
-                    parent[find(v)] = find(u)
-        orbits: dict[int, list[int]] = {}
+        # A transposition (u v) preserves one set's neighborhood structure
+        # exactly when u and v are twins there (every vertex is in its own
+        # neighborhood iff 0 is in D): open twins share (N \ self,
+        # watchers \ self), closed twins (N + self, watchers + self).  No
+        # vertex has both kinds, so per set each vertex takes its open key
+        # when another vertex shares it and its closed key otherwise, and
+        # the joint classes are the tuples of those keys.
+        classes: list[tuple] = [()] * self.n
+        for d in range(self.k):
+            nbs = [frozenset(nb) for nb in self.nbs[d]]
+            watch = [frozenset(ws) for ws in self.watchers[d]]
+            open_keys = [(nbs[v] - {v}, watch[v] - {v}) for v in range(self.n)]
+            shared = Counter(open_keys)
+            for v in range(self.n):
+                if shared[open_keys[v]] > 1:
+                    key = (False, open_keys[v])
+                else:
+                    key = (True, (nbs[v] | {v}, watch[v] | {v}))
+                classes[v] += (key,)
+        orbits: dict[tuple, list[int]] = {}
         for v in range(self.n):
-            orbits.setdefault(find(v), []).append(v)
+            orbits.setdefault(classes[v], []).append(v)
         for members in orbits.values():
-            members.sort()
             self.symmetry_order *= factorial(len(members))
             for prev, nxt in zip(members, members[1:]):
                 self.orbit_prev[nxt] = prev
 
-    # -- one backtracking run over a single first-level branch ----------
-
-    def run_branch(self, mode: str, first_label: int, budget: int | None):
+    def run(self, mode: str, budget: int | None) -> bool:
+        """One DFS from the empty assignment; True if the budget ran out."""
         self.mode = mode
         self.budget = budget
         self.nodes = 0
@@ -184,20 +177,11 @@ class _Engine:
                     self._finalize(d, 0)
                 elif not self.self_only[d][v]:
                     self.pending_nonself[d] += 1
-        aborted = False
         try:
-            v0 = self.order[0]
-            if not self.used[first_label]:
-                self._step(0, v0, first_label)
+            self._descend(0)
         except _BudgetExceeded:
-            aborted = True
-        return {
-            "aborted": aborted,
-            "count": self.count,
-            "witness": self.witness,
-            "labelings": self.labelings,
-            "nodes": self.nodes,
-        }
+            return True
+        return False
 
     def _finalize(self, d: int, weight: int) -> None:
         finals = self.finals[d]
@@ -281,39 +265,9 @@ class _Engine:
         return False
 
 
-def _run_branch(g, sets, mode, prune, symmetry, first_label, budget):
-    engine = _Engine(g, sets, prune, symmetry)
-    return engine.run_branch(mode, first_label, budget)
-
-
-def _merge_branches(results_in_order, mode, budget, n):
-    """Fold per-branch outcomes exactly as a serial scan would."""
-    nodes_total = 1
-    remaining = budget
-    count = 0
-    witness: dict | None = None
-    labelings: list[dict] = []
-    aborted = False
-    for outcome in results_in_order:
-        if remaining is not None and (
-            outcome["aborted"] or outcome["nodes"] > remaining
-        ):
-            nodes_total += remaining
-            aborted = True
-            break
-        nodes_total += outcome["nodes"]
-        if remaining is not None:
-            remaining -= outcome["nodes"]
-        count += outcome["count"]
-        if witness is None:
-            witness = outcome["witness"]
-        labelings.extend(outcome["labelings"])
-        if mode == "first" and witness is not None:
-            break
-    return aborted, count, witness, labelings, nodes_total
-
-
-def _search(g, sets, mode, budget, prune, symmetry, workers):
+def _search(g, sets, mode, budget, prune, symmetry):
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be a non-negative node count, got {budget!r}")
     n = len(g)
     for D in sets:
         if not is_admissible(g, D):
@@ -334,41 +288,19 @@ def _search(g, sets, mode, budget, prune, symmetry, workers):
             nodes_explored=1,
             labelings=(empty,) if mode == "all" else None,
         )
-    probe = _Engine(g, sets, prune, symmetry)
-    symmetry_order = probe.symmetry_order
-    branch_labels = list(range(1, n + 1))
-    if workers > 1 and len(branch_labels) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _run_branch, g, sets, mode, prune, symmetry, label, budget
-                )
-                for label in branch_labels
-            ]
-            outcomes = _consume_ordered(futures, mode, budget)
-    else:
-        outcomes = []
-        remaining = budget
-        for label in branch_labels:
-            outcome = probe.run_branch(mode, label, remaining)
-            outcomes.append(outcome)
-            if outcome["aborted"]:
-                break
-            if remaining is not None:
-                remaining -= outcome["nodes"]
-            if mode == "first" and outcome["witness"] is not None:
-                break
-    aborted, count, witness, labelings, nodes = _merge_branches(
-        outcomes, mode, budget, n
-    )
+    engine = _Engine(g, sets, prune, symmetry)
+    aborted = engine.run(mode, budget)
+    # The empty root counts as a visited node.
+    nodes = engine.nodes + 1
     if aborted:
         return SearchResult(
             status=SearchStatus.ABORTED,
             witness=None,
             count=None,
             nodes_explored=nodes,
-            symmetry_order=symmetry_order,
+            symmetry_order=engine.symmetry_order,
         )
+    witness, count = engine.witness, engine.count
     status = SearchStatus.FOUND if (
         witness is not None if mode == "first" else count > 0
     ) else SearchStatus.EXHAUSTED
@@ -377,29 +309,11 @@ def _search(g, sets, mode, budget, prune, symmetry, workers):
         witness=Labeling(witness) if witness is not None else None,
         count=count if mode in ("all", "count") else None,
         nodes_explored=nodes,
-        symmetry_order=symmetry_order,
-        labelings=tuple(Labeling(m) for m in labelings) if mode == "all" else None,
+        symmetry_order=engine.symmetry_order,
+        labelings=(
+            tuple(Labeling(m) for m in engine.labelings) if mode == "all" else None
+        ),
     )
-
-
-def _consume_ordered(futures, mode, budget):
-    """Collect branch outcomes in branch order, stopping like a serial scan."""
-    outcomes = []
-    remaining = budget
-    for future in futures:
-        outcome = future.result()
-        outcomes.append(outcome)
-        if remaining is not None and (
-            outcome["aborted"] or outcome["nodes"] > remaining
-        ):
-            break
-        if remaining is not None:
-            remaining -= outcome["nodes"]
-        if mode == "first" and outcome["witness"] is not None:
-            break
-    for future in futures:
-        future.cancel()
-    return outcomes
 
 
 def _check_mode(mode: str) -> None:
@@ -410,7 +324,7 @@ def _check_mode(mode: str) -> None:
 def _check_cap(g: OrientedGraph, what: str) -> None:
     cap = vertex_cap()
     if len(g) > cap:
-        raise ValueError(
+        raise VertexCapError(
             f"{what} is exhaustive and capped at {cap} vertices "
             f"(graph has {len(g)}; raise {ENV_VERTEX_CAP} to override)"
         )
@@ -424,7 +338,6 @@ def search_labeling(
     *,
     prune: bool = True,
     symmetry: bool = True,
-    workers: int = 1,
 ) -> SearchResult:
     """Search for D-antimagic labelings of g.
 
@@ -438,7 +351,7 @@ def search_labeling(
     if mode in ("all", "count"):
         _check_cap(g, "mode=" + mode)
     sets = (DistanceSet.of(D),)
-    return _search(g, sets, mode, budget, prune, symmetry, workers)
+    return _search(g, sets, mode, budget, prune, symmetry)
 
 
 def search_joint_labeling(
@@ -449,7 +362,6 @@ def search_joint_labeling(
     *,
     prune: bool = True,
     symmetry: bool = True,
-    workers: int = 1,
 ) -> SearchResult:
     """Like :func:`search_labeling` but antimagic under every given set at once."""
     _check_mode(mode)
@@ -458,15 +370,13 @@ def search_joint_labeling(
     sets = tuple(DistanceSet.of(D) for D in distance_sets)
     if not sets:
         raise ValueError("need at least one distance set")
-    return _search(g, sets, mode, budget, prune, symmetry, workers)
+    return _search(g, sets, mode, budget, prune, symmetry)
 
 
 def refute_antimagic(
     g: OrientedGraph,
     D,
     budget: int | None = None,
-    *,
-    workers: int = 1,
 ) -> SearchResult:
     """Exhaustively confirm that no D-antimagic labeling of g exists.
 
@@ -476,4 +386,4 @@ def refute_antimagic(
     """
     _check_cap(g, "refutation")
     sets = (DistanceSet.of(D),)
-    return _search(g, sets, "first", budget, True, True, workers)
+    return _search(g, sets, "first", budget, True, True)

@@ -127,3 +127,55 @@ def count_joint_antimagic(vertices, arcs, distance_sets):
         for perm in permutations(range(1, n + 1))
         if all(_separates(perm, nbs) for nbs in sets_nbs)
     )
+
+
+def symmetry_orbits(vertices, arcs, distance_sets):
+    """Orbit chain and group order of the search's symmetry reduction.
+
+    The reference rule, checked pair by pair: two vertices are
+    interchangeable when swapping them maps every D-neighborhood onto
+    the swapped vertex's D-neighborhood, for every set at once.  Classes
+    are the union-find closure of that relation.  Returns, per vertex
+    index, the previous member of its class in index order (-1 for the
+    first), and the product of the class sizes' factorials.
+    """
+    verts = list(vertices)
+    n = len(verts)
+    dist = [[path_distance(arcs, u, v) for v in verts] for u in verts]
+    nbs_per_set = [
+        [{w for w in range(n) if dist[u][w] in set(D)} for u in range(n)]
+        for D in distance_sets
+    ]
+
+    def interchangeable(u, v):
+        def swap(x):
+            return v if x == u else u if x == v else x
+
+        return all(
+            {swap(x) for x in nbs[w]} == nbs[swap(w)]
+            for nbs in nbs_per_set
+            for w in range(n)
+        )
+
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u in range(n):
+        for v in range(u + 1, n):
+            if find(u) != find(v) and interchangeable(u, v):
+                parent[find(v)] = find(u)
+    orbit_prev = [-1] * n
+    order = 1
+    last_in_class = {}
+    class_size = {}
+    for v in range(n):
+        root = find(v)
+        orbit_prev[v] = last_in_class.get(root, -1)
+        last_in_class[root] = v
+        class_size[root] = class_size.get(root, 0) + 1
+        order *= class_size[root]
+    return orbit_prev, order

@@ -202,7 +202,7 @@ def test_scan_finds_new_all_positive_orientations():
     )
 
 
-def test_pruning_symmetry_and_parallelism_preserve_answers():
+def test_pruning_and_symmetry_preserve_answers():
     start = time.monotonic()
     compared = 0
     for n in range(1, 7):
@@ -220,16 +220,9 @@ def test_pruning_symmetry_and_parallelism_preserve_answers():
                 assert reduced.count * reduced.symmetry_order == plain.count
                 compared += 1
 
-    g = build_star(StarShape(n=5, t=2))
-    for workers in (1, 2, 3):
-        for D in (D01, D02):
-            serial = search_labeling(g, D, mode="first")
-            fanned = search_labeling(g, D, mode="first", workers=workers)
-            assert serial == fanned, (workers, D)
-
     elapsed = time.monotonic() - start
     report(
-        f"prune/symmetry/parallel agreement on {compared} count instances, "
+        f"prune/symmetry agreement on {compared} count instances, "
         f"{elapsed:.1f}s"
     )
 

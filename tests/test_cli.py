@@ -271,6 +271,28 @@ def test_verify_duplicate_labels_are_data_errors(tmp_path, capsys):
     assert "duplicate" in err
 
 
+def test_verify_rejects_json_true_in_an_embedded_labeling(tmp_path, capsys):
+    g = build_star(StarShape(n=2, t=1))
+    payload = json.loads(GraphDocument.from_graph(g).to_json())
+    # {"c": 3, "l1": 1, "l2": 2} is antimagic; true must not pass for 1
+    payload["labeling"] = {"c": 3, "l1": True, "l2": 2}
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, _, err = run_cli(["verify", str(path), "--d", "0,1"], capsys)
+    assert code == 65
+    assert "labeling" in err
+
+
+def test_verify_rejects_json_true_in_an_inline_labeling(tmp_path, capsys):
+    path, _ = write_star_doc(tmp_path, 2, 1)
+    code, _, err = run_cli(
+        ["verify", str(path), "--d", "0,1", "--labeling", '{"c": 3, "l1": true, "l2": 2}'],
+        capsys,
+    )
+    assert code == 65
+    assert "integers" in err
+
+
 def test_verify_without_any_labeling(tmp_path, capsys):
     path, _ = write_star_doc(tmp_path, 2, 1)
     code, _, err = run_cli(["verify", str(path), "--d", "0,1"], capsys)
@@ -402,12 +424,26 @@ def test_search_exhaustive_mode_respects_vertex_cap(tmp_path, capsys):
     assert "ANTIMAGIC_NODE_CAP" in err
 
 
-def test_search_rejects_zero_workers(tmp_path, capsys):
+def test_search_rejects_the_removed_workers_flag(tmp_path, capsys):
     path, _ = write_star_doc(tmp_path, 2, 1)
     code, _, err = run_cli(
-        ["search", str(path), "--d", "0,1", "--workers", "0"], capsys
+        ["search", str(path), "--d", "0,1", "--workers", "2"], capsys
     )
     assert code == 64
+    assert "--workers" in err
+
+
+def test_search_does_not_hide_internal_value_errors(tmp_path, monkeypatch):
+    # only the vertex-cap refusal is a usage error; a bug must surface
+    import antimagic.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(cli, "search_labeling", broken)
+    path, _ = write_star_doc(tmp_path, 2, 1)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["search", str(path), "--d", "0,1"])
 
 
 # -- scan -------------------------------------------------------------
@@ -472,6 +508,43 @@ def test_scan_budget_abort_exits_three(capsys):
 
 
 # -- plumbing ---------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "GRAPH", "--d", "0,1", "--budget", "-5"],
+        ["construct", "--family", "mstar", "--m", "2", "--n", "3", "--t", "1",
+         "--d", "0,1", "--budget", "-3"],
+        ["scan", "--spec", "2x2", "--d", "0,1", "--budget", "-1"],
+    ],
+    ids=["search", "construct", "scan"],
+)
+def test_negative_budget_is_usage_error(argv, tmp_path, capsys):
+    path, _ = write_star_doc(tmp_path, 2, 1)
+    argv = [str(path) if arg == "GRAPH" else arg for arg in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 64
+    assert out == ""
+    assert "non-negative" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "GRAPH", "--d", "0,1", "--mode", "count"],
+        ["construct", "--family", "forest", "--spec", "2x2@1", "--d", "0,1"],
+        ["scan", "--spec", "2x2", "--d", "0,1"],
+    ],
+    ids=["search", "construct", "scan"],
+)
+def test_malformed_vertex_cap_is_usage_error(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ANTIMAGIC_NODE_CAP", "abc")
+    path, _ = write_star_doc(tmp_path, 2, 1)
+    argv = [str(path) if arg == "GRAPH" else arg for arg in argv]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 64
+    assert "ANTIMAGIC_NODE_CAP must be an integer" in err
+
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0

@@ -68,6 +68,7 @@ def test_json_round_trip_property(g):
         '{"vertices": ["a"], "arcs": [3]}',
         '{"vertices": ["a"], "arcs": [], "labeling": [1]}',
         '{"vertices": ["a"], "arcs": [], "labeling": {"a": "x"}}',
+        '{"vertices": ["a"], "arcs": [], "labeling": {"a": true}}',
         '{"vertices": ["a"], "arcs": [], "metadata": 7}',
     ],
 )

@@ -4,7 +4,9 @@ from hypothesis import strategies as st
 
 import naive_oracle as oracle
 from antimagic import (
+    DistanceSet,
     ForestSpec,
+    OrientedGraph,
     SearchStatus,
     StarShape,
     build_forest,
@@ -15,7 +17,7 @@ from antimagic import (
     vertex_cap,
     verify_labeling,
 )
-from antimagic.search import UNFIT_DISTANCE_SET
+from antimagic.search import UNFIT_DISTANCE_SET, _Engine
 from forest_strategies import STAR_SETS
 
 
@@ -160,7 +162,8 @@ def test_budget_abort_is_deterministic():
     tight = search_labeling(g, {0, 1}, mode="count", budget=7)
     again = search_labeling(g, {0, 1}, mode="count", budget=7)
     assert tight.status is SearchStatus.ABORTED
-    assert tight.nodes_explored == again.nodes_explored <= 8
+    # the empty root plus the seven budgeted nodes
+    assert tight.nodes_explored == again.nodes_explored == 8
     assert tight.count is None and tight.witness is None
 
 
@@ -171,21 +174,50 @@ def test_budget_large_enough_is_invisible():
     assert capped == free
 
 
-def test_parallel_runs_match_serial_exactly():
-    g = build_star(StarShape(n=4, t=1))
-    for mode in ("first", "count"):
-        serial = search_labeling(g, {0, 1}, mode=mode)
-        for workers in (2, 3):
-            parallel = search_labeling(g, {0, 1}, mode=mode, workers=workers)
-            assert parallel == serial, (mode, workers)
+def test_negative_budget_is_rejected():
+    g = build_star(StarShape(n=2, t=1))
+    with pytest.raises(ValueError, match="budget"):
+        search_labeling(g, {0, 1}, budget=-5)
+    with pytest.raises(ValueError, match="budget"):
+        search_joint_labeling(g, ((0, 1), (1, 2)), mode="count", budget=-1)
+    with pytest.raises(ValueError, match="budget"):
+        refute_antimagic(g, {2}, budget=-3)
+    # zero is a valid budget: the root alone, then an abort
+    zero = search_labeling(g, {0, 1}, budget=0)
+    assert zero.status is SearchStatus.ABORTED
+    assert zero.nodes_explored == 1
 
 
-def test_parallel_budget_abort_matches_serial():
-    g = build_star(StarShape(n=5, t=2))
-    serial = search_labeling(g, {0, 1}, mode="count", budget=40)
-    parallel = search_labeling(g, {0, 1}, mode="count", budget=40, workers=3)
-    assert serial.status is SearchStatus.ABORTED
-    assert parallel == serial
+@st.composite
+def oriented_graphs(draw, max_vertices=9):
+    """Any oriented graph on up to nine vertices, sparse ones favoured so
+    that twins actually occur."""
+    n = draw(st.integers(1, max_vertices))
+    vertices = [f"v{i}" for i in range(n)]
+    arcs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            kind = draw(st.sampled_from(("none", "none", "forward", "backward")))
+            if kind == "forward":
+                arcs.append((vertices[i], vertices[j]))
+            elif kind == "backward":
+                arcs.append((vertices[j], vertices[i]))
+    return OrientedGraph(vertices, arcs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    oriented_graphs(),
+    st.lists(
+        st.sets(st.integers(0, 3), min_size=1).map(sorted), min_size=1, max_size=2
+    ),
+)
+def test_twin_classes_match_the_pairwise_reference(g, distance_sets):
+    engine = _Engine(
+        g, tuple(DistanceSet.of(D) for D in distance_sets), True, True
+    )
+    want = oracle.symmetry_orbits(g.vertices, g.arcs, distance_sets)
+    assert (engine.orbit_prev, engine.symmetry_order) == want
 
 
 def test_exhaustive_modes_respect_the_vertex_cap(monkeypatch):
