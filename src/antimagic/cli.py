@@ -10,6 +10,8 @@ contract:
     3   search aborted on its node budget
     64  usage error (unknown flags, malformed parameters)
     65  data error (unreadable or malformed input, unsupported distance set)
+    70  internal error: any uncaught RuntimeError, such as a construction
+        or witness that fails its own verification
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ EXIT_NONE_EXISTS = 2
 EXIT_BUDGET = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_INTERNAL = 70
 
 
 class _UsageError(Exception):
@@ -193,6 +196,11 @@ def main(argv=None) -> int:
     except UnsupportedDistanceSetError as exc:
         print(f"antimagic {args.command}: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except RuntimeError as exc:
+        # A failed self-check is a bug, never a verdict: exit 1 would
+        # read as "valid but not antimagic".
+        print(f"antimagic {args.command}: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run() -> None:

@@ -2,12 +2,18 @@
 
 The engine assigns labels 1..|V| by depth-first backtracking, branching
 on vertices in decreasing D-degree order (largest D-neighborhood first)
-and trying labels in ascending order, which makes every result
-deterministic.  With pruning on, a partial assignment is cut as soon as
-two fully-determined weights collide; with symmetry reduction on,
-provably interchangeable vertices (twins: identical D-neighborhood
-structure under swapping) are forced into ascending label order, and
-the count is over those canonical representatives.
+and trying labels in descending order, |V| down to 1, which makes every
+result deterministic.  Large labels first make large, spread-out
+weights, so ``first`` mode rarely backtracks; exhaustive modes visit
+the same number of nodes under either order.  With pruning on, a
+partial assignment is cut as soon as two fully-determined weights
+collide; with symmetry reduction on, provably interchangeable vertices
+(twins: identical D-neighborhood structure under swapping) take
+strictly decreasing labels in index order, and the count is over those
+canonical representatives.
+
+The DFS is one loop over an explicit stack, not recursion, so its depth
+(one level per vertex) is bounded only by memory.
 
 A distance set that does not fit the graph (max(D) above the finite
 diameter) admits no D-antimagic labeling at all, so the search reports
@@ -81,10 +87,6 @@ def vertex_cap() -> int:
         raise VertexCapError(f"{ENV_VERTEX_CAP} must be an integer, got {raw!r}") from None
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 class _Engine:
     """Mutable search state for one graph and one or more distance sets.
 
@@ -155,114 +157,127 @@ class _Engine:
                 self.orbit_prev[nxt] = prev
 
     def run(self, mode: str, budget: int | None) -> bool:
-        """One DFS from the empty assignment; True if the budget ran out."""
-        self.mode = mode
-        self.budget = budget
-        self.nodes = 0
+        """One DFS from the empty assignment; True if the budget ran out.
+
+        The DFS keeps an explicit stack: ``order[depth]`` is the vertex
+        placed at each depth and ``next_label[depth]`` the next label to
+        try there.  Labels go from high to low, and a twin takes a label
+        below its orbit predecessor's.
+        """
+        n, k, order, prune = self.n, self.k, self.order, self.prune
+        orbit_prev = self.orbit_prev
+        label_of = [0] * n
+        used = [False] * (n + 1)
+        partial = [[0] * n for _ in range(k)]
+        remaining = [[len(nb) for nb in self.nbs[d]] for d in range(k)]
+        finals: list[dict[int, int]] = [{} for _ in range(k)]
+        # Vertices not yet assigned whose weight is not just their own
+        # label, per set; vertices with an empty neighborhood count too.
+        pending = [self.self_only[d].count(False) for d in range(k)]
+        conflicts = 0
+        for d in range(k):
+            empty = remaining[d].count(0)
+            if empty:
+                finals[d][0] = empty
+                conflicts += empty - 1
+        effects = [
+            [(self.watchers[d][v], partial[d], remaining[d], finals[d])
+             for d in range(k)]
+            for v in range(n)
+        ]
+        nonself = [
+            [d for d in range(k) if not self.self_only[d][v]] for v in range(n)
+        ]
         self.count = 0
         self.witness: dict | None = None
         self.labelings: list[dict] = []
-        self.label_of = [0] * self.n
-        self.used = [False] * (self.n + 1)
-        self.partial = [[0] * self.n for _ in range(self.k)]
-        self.remaining = [
-            [len(self.nbs[d][v]) for v in range(self.n)] for d in range(self.k)
-        ]
-        self.finals: list[dict[int, int]] = [dict() for _ in range(self.k)]
-        self.conflicts = 0
-        self.pending_nonself = [0] * self.k
-        for d in range(self.k):
-            for v in range(self.n):
-                if self.remaining[d][v] == 0:
-                    self._finalize(d, 0)
-                elif not self.self_only[d][v]:
-                    self.pending_nonself[d] += 1
-        try:
-            self._descend(0)
-        except _BudgetExceeded:
-            return True
-        return False
-
-    def _finalize(self, d: int, weight: int) -> None:
-        finals = self.finals[d]
-        count = finals.get(weight, 0) + 1
-        finals[weight] = count
-        if count > 1:
-            self.conflicts += 1
-
-    def _definalize(self, d: int, weight: int) -> None:
-        finals = self.finals[d]
-        count = finals[weight]
-        if count > 1:
-            finals[weight] = count - 1
-            self.conflicts -= 1
-        else:
-            del finals[weight]
-
-    def _step(self, depth: int, v: int, label: int) -> bool:
-        """Apply one assignment and recurse; True means stop the search."""
-        if self.budget is not None and self.nodes >= self.budget:
-            raise _BudgetExceeded
-        self.nodes += 1
-        self.label_of[v] = label
-        self.used[label] = True
-        for d in range(self.k):
-            if not self.self_only[d][v]:
-                self.pending_nonself[d] -= 1
-            for w in self.watchers[d][v]:
-                self.partial[d][w] += label
-                self.remaining[d][w] -= 1
-                if self.remaining[d][w] == 0:
-                    self._finalize(d, self.partial[d][w])
-        try:
-            if not self.prune or (self.conflicts == 0 and not self._dead_label()):
-                if self._descend(depth + 1):
-                    return True
-        finally:
-            for d in range(self.k):
-                for w in self.watchers[d][v]:
-                    if self.remaining[d][w] == 0:
-                        self._definalize(d, self.partial[d][w])
-                    self.remaining[d][w] += 1
-                    self.partial[d][w] -= label
-                if not self.self_only[d][v]:
-                    self.pending_nonself[d] += 1
-            self.used[label] = False
-            self.label_of[v] = 0
-        return False
-
-    def _dead_label(self) -> bool:
-        # Once every unassigned vertex is its own whole D-neighborhood,
-        # an unused label equal to an already-final weight is doomed:
-        # whichever vertex receives it will repeat that weight.
-        for d in range(self.k):
-            if self.pending_nonself[d] == 0:
-                finals = self.finals[d]
-                for label in range(1, self.n + 1):
-                    if not self.used[label] and label in finals:
-                        return True
-        return False
-
-    def _descend(self, depth: int) -> bool:
-        if depth == self.n:
-            if self.conflicts:
-                return False
+        nodes = 0
+        aborted = False
+        next_label = [0] * n
+        next_label[0] = n
+        depth = 0
+        while True:
+            v = order[depth]
+            label = label_of[v]
+            if label:
+                # Back at this depth: undo the assignment tried last.
+                for watch, part, left, fin in effects[v]:
+                    for w in watch:
+                        weight = part[w]
+                        if not left[w]:
+                            seen = fin[weight]
+                            if seen > 1:
+                                fin[weight] = seen - 1
+                                conflicts -= 1
+                            else:
+                                del fin[weight]
+                        left[w] += 1
+                        part[w] = weight - label
+                for d in nonself[v]:
+                    pending[d] += 1
+                used[label] = False
+                label_of[v] = 0
+            label = next_label[depth]
+            while label and used[label]:
+                label -= 1
+            if not label:
+                if not depth:
+                    break
+                depth -= 1
+                continue
+            next_label[depth] = label - 1
+            if budget is not None and nodes >= budget:
+                aborted = True
+                break
+            nodes += 1
+            label_of[v] = label
+            used[label] = True
+            for d in nonself[v]:
+                pending[d] -= 1
+            for watch, part, left, fin in effects[v]:
+                for w in watch:
+                    weight = part[w] + label
+                    part[w] = weight
+                    left[w] -= 1
+                    if not left[w]:
+                        if weight in fin:
+                            fin[weight] += 1
+                            conflicts += 1
+                        else:
+                            fin[weight] = 1
+            if prune and (conflicts or _dead_label(n, used, pending, finals)):
+                continue
+            if depth + 1 < n:
+                depth += 1
+                prev = orbit_prev[order[depth]]
+                next_label[depth] = label_of[prev] - 1 if prev >= 0 else n
+                continue
+            if conflicts:  # a complete labeling, reachable unpruned
+                continue
             self.count += 1
-            snapshot = {self.verts[v]: self.label_of[v] for v in range(self.n)}
-            if self.witness is None:
-                self.witness = snapshot
-            if self.mode == "all":
-                self.labelings.append(snapshot)
-            return self.mode == "first"
-        v = self.order[depth]
-        lowest = 1
-        if self.orbit_prev[v] >= 0:
-            lowest = self.label_of[self.orbit_prev[v]] + 1
-        for label in range(lowest, self.n + 1):
-            if not self.used[label]:
-                if self._step(depth, v, label):
+            if self.witness is None or mode == "all":
+                snapshot = {self.verts[u]: label_of[u] for u in range(n)}
+                if self.witness is None:
+                    self.witness = snapshot
+                if mode == "all":
+                    self.labelings.append(snapshot)
+            if mode == "first":
+                break
+        self.nodes = nodes
+        return aborted
+
+
+def _dead_label(n: int, used: list[bool], pending: list[int],
+                finals: list[dict[int, int]]) -> bool:
+    # Once every unassigned vertex is its own whole D-neighborhood, an
+    # unused label equal to an already-final weight is doomed: whichever
+    # vertex receives it will repeat that weight.
+    for d, left in enumerate(pending):
+        if not left:
+            for weight in finals[d]:
+                if 0 < weight <= n and not used[weight]:
                     return True
-        return False
+    return False
 
 
 def _search(g, sets, mode, budget, prune, symmetry):

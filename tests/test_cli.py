@@ -2,12 +2,14 @@ import io
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from antimagic import (
     DistanceSet,
     Labeling,
+    OrientedGraph,
     StarShape,
     build_homogeneous_forest,
     build_star,
@@ -444,6 +446,57 @@ def test_search_does_not_hide_internal_value_errors(tmp_path, monkeypatch):
     path, _ = write_star_doc(tmp_path, 2, 1)
     with pytest.raises(ValueError, match="internal failure"):
         main(["search", str(path), "--d", "0,1"])
+
+
+def test_search_count_with_an_isolated_vertex_under_nonzero_distances(
+    tmp_path, capsys
+):
+    # v1 always weighs 0 under {1,2}; every one of the 24 bijections works
+    g = OrientedGraph(
+        ["v0", "v1", "v2", "v3"], [("v0", "v2"), ("v2", "v3"), ("v3", "v0")]
+    )
+    path = tmp_path / "cycle.json"
+    path.write_text(GraphDocument.from_graph(g).to_json(), encoding="utf-8")
+    argv = ["search", str(path), "--d", "1,2", "--mode", "count", "--no-symmetry"]
+    for extra in ([], ["--no-prune"]):
+        code, out, _ = run_cli(argv + extra, capsys)
+        assert code == 0
+        assert json.loads(out)["count"] == 24, extra
+
+
+def test_search_first_on_550_vertices_has_no_depth_limit(tmp_path, capsys):
+    g = build_homogeneous_forest(50, StarShape(n=10, t=0))
+    path = tmp_path / "big.json"
+    path.write_text(GraphDocument.from_graph(g).to_json(), encoding="utf-8")
+    code, out, _ = run_cli(
+        ["search", str(path), "--d", "0,1", "--budget", "1000"], capsys
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["nodes_explored"] == 551
+    assert verify_labeling(g, payload["witness"], D01).antimagic
+
+
+@pytest.mark.parametrize(
+    "target, failure, argv",
+    [
+        ("antimagic.constructions._gate", None,
+         ["construct", "--family", "star", "--n", "5", "--t", "2", "--d", "0,1"]),
+        ("antimagic.cli.verify_labeling", SimpleNamespace(antimagic=False),
+         ["construct", "--family", "mstar", "--m", "2", "--n", "3", "--t", "1",
+          "--d", "0,2", "--d", "0,1,2"]),
+    ],
+    ids=["closed-form-gate", "joint-witness-gate"],
+)
+def test_failed_gate_is_an_internal_error(target, failure, argv, capsys, monkeypatch):
+    # A labeling that fails its own check is a bug, not "not antimagic":
+    # exit 70 with one line on stderr, never exit 1 with a traceback.
+    monkeypatch.setattr(target, lambda *args, **kwargs: failure)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 70
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "internal error" in err
 
 
 # -- scan -------------------------------------------------------------

@@ -10,6 +10,7 @@ from antimagic import (
     SearchStatus,
     StarShape,
     build_forest,
+    build_homogeneous_forest,
     build_star,
     refute_antimagic,
     search_joint_labeling,
@@ -189,10 +190,10 @@ def test_negative_budget_is_rejected():
 
 
 @st.composite
-def oriented_graphs(draw, max_vertices=9):
-    """Any oriented graph on up to nine vertices, sparse ones favoured so
-    that twins actually occur."""
-    n = draw(st.integers(1, max_vertices))
+def oriented_graphs(draw, max_vertices=9, min_vertices=1):
+    """Any oriented graph on min_vertices to max_vertices vertices, sparse
+    ones favoured so that twins actually occur."""
+    n = draw(st.integers(min_vertices, max_vertices))
     vertices = [f"v{i}" for i in range(n)]
     arcs = []
     for i in range(n):
@@ -203,6 +204,74 @@ def oriented_graphs(draw, max_vertices=9):
             elif kind == "backward":
                 arcs.append((vertices[j], vertices[i]))
     return OrientedGraph(vertices, arcs)
+
+
+def test_dead_label_prune_keeps_labelings_with_an_empty_neighborhood():
+    # The prune may only fire once every unassigned vertex weighs its own
+    # label; v1 is isolated, always weighs 0 under {1,2}, and must hold
+    # it back while unassigned.
+    g = OrientedGraph(
+        ["v0", "v1", "v2", "v3"], [("v0", "v2"), ("v2", "v3"), ("v3", "v0")]
+    )
+    want = oracle.count_antimagic(g.vertices, g.arcs, (1, 2))
+    assert want == 24
+    for prune in (True, False):
+        got = search_labeling(g, {1, 2}, mode="count", symmetry=False, prune=prune)
+        assert got.count == want, prune
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    oriented_graphs(max_vertices=7, min_vertices=4),
+    st.lists(
+        st.sets(st.integers(0, 3), min_size=1).map(sorted), min_size=1, max_size=2
+    ),
+)
+def test_pruned_and_unpruned_counts_match_the_oracle(g, distance_sets):
+    diameter = oracle.finite_diameter(g.vertices, g.arcs)
+    fits = all(max(D) <= diameter for D in distance_sets)
+    want = (
+        oracle.count_joint_antimagic(g.vertices, g.arcs, distance_sets)
+        if fits else 0
+    )
+    for prune in (True, False):
+        raw = search_joint_labeling(
+            g, distance_sets, mode="count", symmetry=False, prune=prune
+        )
+        assert raw.count == want, prune
+    reduced = search_joint_labeling(g, distance_sets, mode="count")
+    assert reduced.count * reduced.symmetry_order == want
+
+
+@pytest.mark.parametrize(
+    "g, D, mode, nodes",
+    [
+        (build_star(StarShape(n=9, t=3)), (0, 2), "count", 53_936),
+        (build_forest(ForestSpec.parse("1x3@1,1x3@1")), (0, 1), "all", 20_497),
+        (build_star(StarShape(n=9, t=4)), (1,), "refute", 11),
+    ],
+    ids=["star9@3-count", "1x3@1,1x3@1-all", "star9@4-refute"],
+)
+def test_exhaustive_node_totals_do_not_depend_on_value_order(g, D, mode, nodes):
+    # Trying labels high to low permutes siblings and the twin order
+    # flip maps one canonical tree onto the other, so an exhaustive
+    # search visits exactly as many nodes as the ascending search did.
+    if mode == "refute":
+        result = refute_antimagic(g, D)
+    else:
+        result = search_labeling(g, D, mode=mode)
+    assert result.nodes_explored == nodes
+
+
+def test_first_mode_runs_on_two_thousand_vertices():
+    # 100 copies of K_{1,19} with one source leaf: twice as deep as the
+    # interpreter's default recursion limit, found without backtracking.
+    g = build_homogeneous_forest(100, StarShape(n=19, t=1))
+    assert len(g) == 2000
+    result = search_labeling(g, {0, 1})
+    assert result.status is SearchStatus.FOUND
+    assert result.nodes_explored == 2001
+    assert verify_labeling(g, result.witness, {0, 1}).antimagic
 
 
 @settings(max_examples=150, deadline=None)
