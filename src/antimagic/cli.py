@@ -12,12 +12,14 @@ contract:
     65  data error (unreadable or malformed input, unsupported distance set)
     70  internal error: any uncaught RuntimeError, such as a construction
         or witness that fails its own verification
+    74  output error: the reader closed standard output early
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -73,6 +75,7 @@ EXIT_BUDGET = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_INTERNAL = 70
+EXIT_IO = 74
 
 
 class _UsageError(Exception):
@@ -186,7 +189,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``| head``).  Point stdout at devnull so
+        # the interpreter's flush at exit stays quiet, and never let a
+        # lost write read as a verdict.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_IO
     except (_UsageError, VertexCapError) as exc:
         print(f"antimagic {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -538,6 +551,12 @@ def _cmd_search(args) -> int:
             prune=args.prune,
             symmetry=args.symmetry,
         )
+    if result.witness is not None:
+        # Gate the witness only: re-verifying every labeling of --mode all
+        # would cost more than the search.
+        for D in sets:
+            if not verify_labeling(g, result.witness, D).antimagic:
+                raise RuntimeError("search returned an invalid witness")
     payload = {
         "status": result.status.value,
         "distance_sets": [str(D) for D in sets],

@@ -278,10 +278,10 @@ class WeightReport:
 
 def d_neighborhood(g: OrientedGraph, u, D) -> frozenset:
     """Vertices whose directed distance from u lies in the distance set."""
-    D = DistanceSet.of(D)
+    members = DistanceSet.of(D).members
     g._require(u)
     row = g._dist[u]
-    return frozenset(v for v, d in row.items() if d in D)
+    return frozenset(v for v, d in row.items() if d in members)
 
 
 def verify_labeling(g: OrientedGraph, labeling: Labeling, D) -> WeightReport:

@@ -4,13 +4,30 @@ The engine assigns labels 1..|V| by depth-first backtracking, branching
 on vertices in decreasing D-degree order (largest D-neighborhood first)
 and trying labels in descending order, |V| down to 1, which makes every
 result deterministic.  Large labels first make large, spread-out
-weights, so ``first`` mode rarely backtracks; exhaustive modes visit
-the same number of nodes under either order.  With pruning on, a
-partial assignment is cut as soon as two fully-determined weights
-collide; with symmetry reduction on, provably interchangeable vertices
-(twins: identical D-neighborhood structure under swapping) take
-strictly decreasing labels in index order, and the count is over those
-canonical representatives.
+weights, so ``first`` mode rarely backtracks.  Free labels sit in a
+doubly linked list, so stepping to the next one costs O(1).  With
+pruning on, a partial assignment is cut as soon as two
+fully-determined weights collide, or as soon as an unused label equals
+a final weight while every unassigned vertex weighs its own label
+(counted incrementally, checked only at the depths where that holds).
+
+With symmetry reduction on, the count is over canonical
+representatives of a group that acts freely on bijections, so count
+times ``symmetry_order`` is the unreduced count:
+
+* twins, vertices with identical D-neighborhood structure under
+  swapping, take strictly decreasing labels in index order;
+* two weakly connected components that match vertex for vertex in
+  index order (two stars with the same n and t) can be swapped
+  wholesale; for each family of m such components, the first vertex
+  alone in its twin class is chained across the family the same way,
+  and the group order gains m!.
+
+Both rules link a vertex to its predecessor in a chain.  A vertex with
+r chain successors still to place leaves r free labels below its own,
+so it only tries labels above the r-th smallest free label (the
+twin-room bound); that cuts only subtrees without a canonical
+labeling.
 
 The DFS is one loop over an explicit stack, not recursion, so its depth
 (one level per vertex) is bounded only by memory.
@@ -106,27 +123,28 @@ class _Engine:
         self.nbs: list[list[tuple[int, ...]]] = []
         for D in sets:
             self.nbs.append([
-                tuple(sorted(index[w] for w in d_neighborhood(g, v, D)))
+                tuple(sorted(map(index.__getitem__, d_neighborhood(g, v, D))))
                 for v in verts
             ])
         self.watchers: list[list[list[int]]] = []
-        for d in range(self.k):
+        for nbs in self.nbs:
             watch: list[list[int]] = [[] for _ in range(self.n)]
-            for v in range(self.n):
-                for u in self.nbs[d][v]:
+            for v, nb in enumerate(nbs):
+                for u in nb:
                     watch[u].append(v)
             self.watchers.append(watch)
-        degree = [
-            sum(len(self.nbs[d][v]) for d in range(self.k)) for v in range(self.n)
-        ]
-        self.order = sorted(range(self.n), key=lambda v: (-degree[v], v))
+        degree = [sum(map(len, column)) for column in zip(*self.nbs)]
+        # Largest D-neighborhoods first; the sort is stable, so ties
+        # keep index order.
+        self.order = sorted(range(self.n), key=degree.__getitem__, reverse=True)
         self.self_only = [
-            [self.nbs[d][v] == (v,) for v in range(self.n)] for d in range(self.k)
+            [nb == (v,) for v, nb in enumerate(nbs)] for nbs in self.nbs
         ]
         self.orbit_prev = [-1] * self.n
         self.symmetry_order = 1
         if symmetry:
             self._compute_orbits()
+            self._chain_components(g, index)
 
     def _compute_orbits(self) -> None:
         # A transposition (u v) preserves one set's neighborhood structure
@@ -135,73 +153,164 @@ class _Engine:
         # watchers \ self), closed twins (N + self, watchers + self).  No
         # vertex has both kinds, so per set each vertex takes its open key
         # when another vertex shares it and its closed key otherwise, and
-        # the joint classes are the tuples of those keys.
-        classes: list[tuple] = [()] * self.n
+        # the joint classes are the tuples of those keys.  Vertex sets
+        # are bitmasks here.
+        n = self.n
+        classes: list[tuple] = [()] * n
         for d in range(self.k):
-            nbs = [frozenset(nb) for nb in self.nbs[d]]
-            watch = [frozenset(ws) for ws in self.watchers[d]]
-            open_keys = [(nbs[v] - {v}, watch[v] - {v}) for v in range(self.n)]
+            nbs = [0] * n
+            watch = [0] * n
+            for v, nb in enumerate(self.nbs[d]):
+                bit = 1 << v
+                mask = 0
+                for u in nb:
+                    mask |= 1 << u
+                    watch[u] |= bit
+                nbs[v] = mask
+            open_keys = [(nbs[v] & ~(1 << v), watch[v] & ~(1 << v)) for v in range(n)]
             shared = Counter(open_keys)
-            for v in range(self.n):
+            for v in range(n):
                 if shared[open_keys[v]] > 1:
                     key = (False, open_keys[v])
                 else:
-                    key = (True, (nbs[v] | {v}, watch[v] | {v}))
+                    key = (True, nbs[v] | 1 << v, watch[v] | 1 << v)
                 classes[v] += (key,)
         orbits: dict[tuple, list[int]] = {}
-        for v in range(self.n):
+        for v in range(n):
             orbits.setdefault(classes[v], []).append(v)
         for members in orbits.values():
             self.symmetry_order *= factorial(len(members))
             for prev, nxt in zip(members, members[1:]):
                 self.orbit_prev[nxt] = prev
 
+    def _chain_components(self, g: OrientedGraph, index: dict) -> None:
+        # Two weakly connected components whose vertices, paired off in
+        # index order, map arcs onto arcs can be swapped wholesale.  A
+        # vertex alone in its twin class is fixed by every twin swap, so
+        # chaining such vertices of a family of m components through
+        # orbit_prev (labels decreasing in index order) picks one
+        # labeling out of every m! component permutations, and the
+        # group stays free: its order is the twin order times m!.
+        n = self.n
+        arcs = [(index[a], index[b]) for a, b in g.arcs]
+        # Union-find that always keeps the smaller index as the root, so
+        # each root is its component's first vertex.
+        root = list(range(n))
+        for a, b in arcs:
+            while root[a] != a:
+                root[a] = root[root[a]]
+                a = root[a]
+            while root[b] != b:
+                root[b] = root[root[b]]
+                b = root[b]
+            if a < b:
+                root[b] = a
+            elif b < a:
+                root[a] = b
+        components: dict[int, list[int]] = {}
+        position = [0] * n
+        for v in range(n):
+            r = root[v]
+            while root[r] != r:
+                r = root[r]
+            root[v] = r
+            members = components.setdefault(r, [])
+            position[v] = len(members)
+            members.append(v)
+        if len({len(members) for members in components.values()}) == len(components):
+            return
+        # g.arcs is sorted by endpoint index and positions follow index
+        # within a component, so each shape below is already canonical.
+        shapes: dict[int, list[tuple[int, int]]] = {r: [] for r in components}
+        for a, b in arcs:
+            shapes[root[a]].append((position[a], position[b]))
+        families: dict[tuple, list[list[int]]] = {}
+        for r, members in components.items():
+            families.setdefault((len(members), tuple(shapes[r])), []).append(members)
+        alone = [True] * n
+        for v, prev in enumerate(self.orbit_prev):
+            if prev >= 0:
+                alone[v] = alone[prev] = False
+        for family in families.values():
+            if len(family) < 2:
+                continue
+            fixed = next((i for i, v in enumerate(family[0]) if alone[v]), None)
+            if fixed is None:
+                continue
+            chain = sorted(members[fixed] for members in family)
+            for prev, nxt in zip(chain, chain[1:]):
+                self.orbit_prev[nxt] = prev
+            self.symmetry_order *= factorial(len(family))
+
     def run(self, mode: str, budget: int | None) -> bool:
         """One DFS from the empty assignment; True if the budget ran out.
 
         The DFS keeps an explicit stack: ``order[depth]`` is the vertex
-        placed at each depth and ``next_label[depth]`` the next label to
-        try there.  Labels go from high to low, and a twin takes a label
-        below its orbit predecessor's.
+        placed at each depth.  Labels go from high to low along a doubly
+        linked list of free labels, and a vertex with an orbit
+        predecessor takes a label below the predecessor's.
         """
         n, k, order, prune = self.n, self.k, self.order, self.prune
         orbit_prev = self.orbit_prev
+        # room[v]: chain successors of v, each needing a free label below v's.
+        room = [0] * n
+        for v in range(n - 1, -1, -1):
+            if orbit_prev[v] >= 0:
+                room[orbit_prev[v]] = room[v] + 1
         label_of = [0] * n
         used = [False] * (n + 1)
+        # Free labels, linked both ways: down[l] is the next smaller free
+        # label, up[l] the next larger; 0 and n + 1 are the sentinels.
+        # Labels are unlinked and relinked last-in first-out, so a used
+        # label keeps pointers that still lead down to the free list.
+        down = list(range(-1, n + 1))
+        up = list(range(1, n + 3))
         partial = [[0] * n for _ in range(k)]
         remaining = [[len(nb) for nb in self.nbs[d]] for d in range(k)]
         finals: list[dict[int, int]] = [{} for _ in range(k)]
-        # Vertices not yet assigned whose weight is not just their own
-        # label, per set; vertices with an empty neighborhood count too.
-        pending = [self.self_only[d].count(False) for d in range(k)]
         conflicts = 0
         for d in range(k):
             empty = remaining[d].count(0)
             if empty:
                 finals[d][0] = empty
                 conflicts += empty - 1
+        # Dead-label prune: once every vertex after ``depth`` in the order
+        # is its own whole D-neighborhood (weight = label), an unused
+        # label equal to a final weight is doomed.  dead[d] counts such
+        # labels, and checks[depth] lists the sets where that holds.
+        checks: list[tuple[int, ...]] = [()] * n
+        tracked = []
+        if prune:
+            for d, self_only in enumerate(self.self_only):
+                last = n - 1
+                while last >= 0 and self_only[order[last]]:
+                    last -= 1
+                if last < n - 1:
+                    tracked.append(d)
+                    for depth in range(max(last, 0), n - 1):
+                        checks[depth] += (d,)
+        dead = [0] * k
         effects = [
-            [(self.watchers[d][v], partial[d], remaining[d], finals[d])
+            [(self.watchers[d][v], partial[d], remaining[d], finals[d],
+              d if d in tracked else -1)
              for d in range(k)]
             for v in range(n)
         ]
-        nonself = [
-            [d for d in range(k) if not self.self_only[d][v]] for v in range(n)
-        ]
+        tracked_finals = [(d, finals[d]) for d in tracked]
         self.count = 0
         self.witness: dict | None = None
         self.labelings: list[dict] = []
         nodes = 0
+        limit = -1 if budget is None else budget
         aborted = False
-        next_label = [0] * n
-        next_label[0] = n
+        floor = [0] * n
         depth = 0
         while True:
             v = order[depth]
             label = label_of[v]
             if label:
                 # Back at this depth: undo the assignment tried last.
-                for watch, part, left, fin in effects[v]:
+                for watch, part, left, fin, track in effects[v]:
                     for w in watch:
                         weight = part[w]
                         if not left[w]:
@@ -211,30 +320,51 @@ class _Engine:
                                 conflicts -= 1
                             else:
                                 del fin[weight]
+                                if track >= 0 and weight <= n and not used[weight]:
+                                    dead[track] -= 1
                         left[w] += 1
                         part[w] = weight - label
-                for d in nonself[v]:
-                    pending[d] += 1
+                for d, fin in tracked_finals:
+                    if label in fin:
+                        dead[d] += 1
                 used[label] = False
+                up[down[label]] = label
+                down[up[label]] = label
                 label_of[v] = 0
-            label = next_label[depth]
-            while label and used[label]:
-                label -= 1
-            if not label:
+                label = down[label]
+            else:
+                # Arrived at this depth: start below the chain
+                # predecessor's label, and stay above the twin-room floor.
+                prev = orbit_prev[v]
+                if prev >= 0:
+                    label = down[label_of[prev]]
+                    while used[label]:
+                        label = down[label]
+                else:
+                    label = down[n + 1]
+                low = 0
+                if room[v]:
+                    low = up[0]
+                    for _ in range(room[v] - 1):
+                        low = up[low]
+                floor[depth] = low
+            if label <= floor[depth]:
                 if not depth:
                     break
                 depth -= 1
                 continue
-            next_label[depth] = label - 1
-            if budget is not None and nodes >= budget:
+            if nodes == limit:
                 aborted = True
                 break
             nodes += 1
             label_of[v] = label
             used[label] = True
-            for d in nonself[v]:
-                pending[d] -= 1
-            for watch, part, left, fin in effects[v]:
+            up[down[label]] = up[label]
+            down[up[label]] = down[label]
+            for d, fin in tracked_finals:
+                if label in fin:
+                    dead[d] -= 1
+            for watch, part, left, fin, track in effects[v]:
                 for w in watch:
                     weight = part[w] + label
                     part[w] = weight
@@ -245,12 +375,13 @@ class _Engine:
                             conflicts += 1
                         else:
                             fin[weight] = 1
-            if prune and (conflicts or _dead_label(n, used, pending, finals)):
+                            if track >= 0 and weight <= n and not used[weight]:
+                                dead[track] += 1
+            if prune and (conflicts or checks[depth] and any(
+                    dead[d] for d in checks[depth])):
                 continue
             if depth + 1 < n:
                 depth += 1
-                prev = orbit_prev[order[depth]]
-                next_label[depth] = label_of[prev] - 1 if prev >= 0 else n
                 continue
             if conflicts:  # a complete labeling, reachable unpruned
                 continue
@@ -265,19 +396,6 @@ class _Engine:
                 break
         self.nodes = nodes
         return aborted
-
-
-def _dead_label(n: int, used: list[bool], pending: list[int],
-                finals: list[dict[int, int]]) -> bool:
-    # Once every unassigned vertex is its own whole D-neighborhood, an
-    # unused label equal to an already-final weight is doomed: whichever
-    # vertex receives it will repeat that weight.
-    for d, left in enumerate(pending):
-        if not left:
-            for weight in finals[d]:
-                if 0 < weight <= n and not used[weight]:
-                    return True
-    return False
 
 
 def _search(g, sets, mode, budget, prune, symmetry):

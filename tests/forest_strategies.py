@@ -38,6 +38,26 @@ def forest_specs(draw, max_stars=3, max_leaves=4):
 
 
 @st.composite
+def repeated_star_forests(draw, max_vertices=9):
+    """A built oriented forest in which one oriented star repeats: two or
+    more copies of K_{1,n} with the same t, sometimes next to one other
+    star, max_vertices vertices at most."""
+    leaves = draw(st.integers(min_value=1, max_value=3))
+    copies = draw(st.integers(min_value=2, max_value=max_vertices // (leaves + 1)))
+    t = draw(st.integers(min_value=0, max_value=leaves))
+    groups = [StarGroup(count=copies, leaves=leaves, sources=t)]
+    room = max_vertices - copies * (leaves + 1)
+    others = [n for n in range(1, room) if n != leaves]
+    if others and draw(st.booleans()):
+        n = draw(st.sampled_from(others))
+        groups.append(
+            StarGroup(count=1, leaves=n, sources=draw(st.integers(0, n)))
+        )
+    groups.sort(key=lambda group: group.leaves)
+    return build_forest(ForestSpec(groups=tuple(groups)))
+
+
+@st.composite
 def small_graphs(draw):
     """Either a lone oriented star or an oriented forest, built."""
     if draw(st.booleans()):

@@ -9,6 +9,7 @@ the point is independence, not speed.
 """
 
 from itertools import permutations
+from math import factorial
 
 
 def path_distance(arcs, u, v):
@@ -178,4 +179,69 @@ def symmetry_orbits(vertices, arcs, distance_sets):
         last_in_class[root] = v
         class_size[root] = class_size.get(root, 0) + 1
         order *= class_size[root]
+    return orbit_prev, order
+
+
+def symmetry_chains(vertices, arcs, distance_sets):
+    """Orbit chain and group order once whole components may be swapped.
+
+    Starts from :func:`symmetry_orbits`.  Two weakly connected
+    components are swappable when exchanging them, vertex for vertex in
+    index order, maps the arc set onto itself.  For each family of m
+    mutually swappable components, the first position whose vertex is
+    alone in its twin class links those vertices in index order, and
+    the group order gains a factor m!; a family with no such position
+    is left alone.
+    """
+    orbit_prev, order = symmetry_orbits(vertices, arcs, distance_sets)
+    verts = list(vertices)
+    n = len(verts)
+    position = {v: i for i, v in enumerate(verts)}
+    arc_set = {(position[a], position[b]) for a, b in arcs}
+    undirected = {}
+    for a, b in arc_set:
+        undirected.setdefault(a, set()).add(b)
+        undirected.setdefault(b, set()).add(a)
+    components, seen = [], set()
+    for start in range(n):
+        if start in seen:
+            continue
+        reach, frontier = {start}, [start]
+        while frontier:
+            for w in undirected.get(frontier.pop(), ()):
+                if w not in reach:
+                    reach.add(w)
+                    frontier.append(w)
+        seen |= reach
+        components.append(sorted(reach))
+
+    def swappable(first, second):
+        if len(first) != len(second):
+            return False
+        swap = dict(zip(first, second))
+        swap.update(zip(second, first))
+        moved = {(swap.get(a, a), swap.get(b, b)) for a, b in arc_set}
+        return moved == arc_set
+
+    families = []
+    for component in components:
+        for family in families:
+            if swappable(family[0], component):
+                family.append(component)
+                break
+        else:
+            families.append([component])
+    alone = [
+        orbit_prev[v] < 0 and v not in orbit_prev for v in range(n)
+    ]
+    for family in families:
+        if len(family) < 2:
+            continue
+        fixed = [i for i, v in enumerate(family[0]) if alone[v]]
+        if not fixed:
+            continue
+        chain = sorted(component[fixed[0]] for component in family)
+        for prev, nxt in zip(chain, chain[1:]):
+            orbit_prev[nxt] = prev
+        order *= factorial(len(family))
     return orbit_prev, order

@@ -499,6 +499,49 @@ def test_failed_gate_is_an_internal_error(target, failure, argv, capsys, monkeyp
     assert "internal error" in err
 
 
+
+def test_search_witness_failing_its_gate_is_an_internal_error(
+    tmp_path, capsys, monkeypatch
+):
+    path, _ = write_star_doc(tmp_path, 4, 2)
+    monkeypatch.setattr(
+        "antimagic.cli.verify_labeling",
+        lambda *args, **kwargs: SimpleNamespace(antimagic=False),
+    )
+    for mode in ("first", "all"):
+        code, out, err = run_cli(
+            ["search", str(path), "--d", "0,1", "--mode", mode], capsys
+        )
+        assert code == 70, mode
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "invalid witness" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # ~178 kB: the writes themselves hit the closed pipe
+        ["construct", "--family", "mstar", "--m", "60", "--n", "40", "--t", "0",
+         "--d", "0"],
+        # a few hundred bytes, still buffered until the final flush
+        ["construct", "--family", "star", "--n", "2", "--t", "1", "--d", "0,1"],
+    ],
+    ids=["large", "small"],
+)
+def test_closed_stdout_pipe_exits_74_without_a_traceback(argv):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "antimagic", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 74
+    assert err == b""
+
+
 # -- scan -------------------------------------------------------------
 
 def test_scan_prints_the_table(capsys):

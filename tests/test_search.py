@@ -1,3 +1,7 @@
+import hashlib
+import json
+from math import factorial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +16,8 @@ from antimagic import (
     build_forest,
     build_homogeneous_forest,
     build_star,
+    enumerate_forest_orientations,
+    is_admissible,
     refute_antimagic,
     search_joint_labeling,
     search_labeling,
@@ -19,7 +25,7 @@ from antimagic import (
     verify_labeling,
 )
 from antimagic.search import UNFIT_DISTANCE_SET, _Engine
-from forest_strategies import STAR_SETS
+from forest_strategies import STAR_SETS, repeated_star_forests
 
 
 def test_count_all_bijections_work_for_distance_one_two_on_k12():
@@ -244,23 +250,27 @@ def test_pruned_and_unpruned_counts_match_the_oracle(g, distance_sets):
 
 
 @pytest.mark.parametrize(
-    "g, D, mode, nodes",
+    "g, D, mode, nodes, unreduced",
     [
-        (build_star(StarShape(n=9, t=3)), (0, 2), "count", 53_936),
-        (build_forest(ForestSpec.parse("1x3@1,1x3@1")), (0, 1), "all", 20_497),
-        (build_star(StarShape(n=9, t=4)), (1,), "refute", 11),
+        (build_star(StarShape(n=9, t=3)), (0, 2), "count", 6_045, 840 * 4_320),
+        (build_forest(ForestSpec.parse("1x3@1,1x3@1")), (0, 1), "all", 8_314,
+         2_652 * 4),
+        (build_star(StarShape(n=9, t=4)), (1,), "refute", 11, 0),
     ],
     ids=["star9@3-count", "1x3@1,1x3@1-all", "star9@4-refute"],
 )
-def test_exhaustive_node_totals_do_not_depend_on_value_order(g, D, mode, nodes):
-    # Trying labels high to low permutes siblings and the twin order
-    # flip maps one canonical tree onto the other, so an exhaustive
-    # search visits exactly as many nodes as the ascending search did.
+def test_exhaustive_node_totals_do_not_depend_on_value_order(
+    g, D, mode, nodes, unreduced
+):
+    # Exact node totals of the exhaustive modes: every unpruned child is
+    # visited whatever order siblings are tried in, so the totals pin the
+    # canonical tree itself.  count x symmetry_order is the unreduced count.
     if mode == "refute":
         result = refute_antimagic(g, D)
     else:
         result = search_labeling(g, D, mode=mode)
     assert result.nodes_explored == nodes
+    assert (result.count or 0) * result.symmetry_order == unreduced
 
 
 def test_first_mode_runs_on_two_thousand_vertices():
@@ -282,11 +292,113 @@ def test_first_mode_runs_on_two_thousand_vertices():
     ),
 )
 def test_twin_classes_match_the_pairwise_reference(g, distance_sets):
+    # Twin classes alone, before whole components are chained.
+    engine = _Engine(
+        g, tuple(DistanceSet.of(D) for D in distance_sets), True, False
+    )
+    engine._compute_orbits()
+    want = oracle.symmetry_orbits(g.vertices, g.arcs, distance_sets)
+    assert (engine.orbit_prev, engine.symmetry_order) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    oriented_graphs(),
+    st.lists(
+        st.sets(st.integers(0, 3), min_size=1).map(sorted), min_size=1, max_size=2
+    ),
+)
+def test_component_chains_match_the_swap_reference(g, distance_sets):
     engine = _Engine(
         g, tuple(DistanceSet.of(D) for D in distance_sets), True, True
     )
-    want = oracle.symmetry_orbits(g.vertices, g.arcs, distance_sets)
+    want = oracle.symmetry_chains(g.vertices, g.arcs, distance_sets)
     assert (engine.orbit_prev, engine.symmetry_order) == want
+
+
+@pytest.mark.parametrize(
+    "spec, D, chained",
+    [
+        ("2x3@1", (0, 1), True),      # centres c1, c2 swap with their stars
+        ("3x2@0", (0, 1, 2), True),
+        ("1x3@0,1x3@1", (0, 1), False),  # same size, different t
+        ("2x2@1", (0,), False),       # every vertex a twin: nothing is fixed
+        ("1x2@1,1x3@1", (0, 1), False),
+    ],
+)
+def test_component_chain_needs_isomorphic_stars_and_a_fixed_vertex(spec, D, chained):
+    forest = ForestSpec.parse(spec)
+    g = build_forest(forest)
+    sets = (DistanceSet.of(D),)
+    twins = _Engine(g, sets, True, False)
+    twins._compute_orbits()
+    engine = _Engine(g, sets, True, True)
+    stars = forest.star_count
+    if chained:
+        centres = [g.vertices.index(f"c{j}") for j in range(1, stars + 1)]
+        assert [engine.orbit_prev[c] for c in centres] == [-1] + centres[:-1]
+        assert engine.symmetry_order == twins.symmetry_order * factorial(stars)
+    else:
+        assert engine.orbit_prev == twins.orbit_prev
+        assert engine.symmetry_order == twins.symmetry_order
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    repeated_star_forests(max_vertices=9),
+    st.lists(st.sampled_from(STAR_SETS), min_size=1, max_size=2, unique=True),
+)
+def test_whole_star_swaps_keep_the_unreduced_count(g, distance_sets):
+    diameter = oracle.finite_diameter(g.vertices, g.arcs)
+    fits = all(max(D) <= diameter for D in distance_sets)
+    want = (
+        oracle.count_joint_antimagic(g.vertices, g.arcs, distance_sets)
+        if fits else 0
+    )
+    raw = search_joint_labeling(g, distance_sets, mode="count", symmetry=False)
+    reduced = search_joint_labeling(g, distance_sets, mode="count")
+    assert raw.count == want
+    assert reduced.count * reduced.symmetry_order == want
+
+
+@pytest.mark.parametrize("m, n, nodes", [(7, 15, 128), (9, 19, 200)])
+def test_first_mode_on_the_t1_diagonal_barely_backtracks(m, n, nodes):
+    # Odd m with n = 2m + 1 is the family's worst line; the twin-room
+    # bound keeps it to 2m + 1 nodes beyond the root and one per vertex.
+    g = build_homogeneous_forest(m, StarShape(n=n, t=1))
+    result = search_labeling(g, {0, 1})
+    assert result.status is SearchStatus.FOUND
+    assert result.nodes_explored == nodes == len(g) + 1 + 2 * m + 1
+    assert verify_labeling(g, result.witness, {0, 1}).antimagic
+
+
+#: SHA-256 of the 432 first-mode witnesses of ``scan --spec 2x3,2x4``
+#: under {0,1}, {0,2} and {0,1,2} (every cell whose set fits), as the
+#: search found them before the twin-room bound and component chains.
+SCAN_WITNESS_DIGEST = "00553b8af8b170713844546635274fb62cb98f60ab474207c57d1fb276c17bd2"
+
+
+def test_twin_room_bound_keeps_the_scan_witnesses():
+    spec = ForestSpec.parse("2x3,2x4")
+    twins_only, full = [], []
+    for orientation in enumerate_forest_orientations(spec):
+        g = build_forest(spec, orientation)
+        for D in ((0, 1), (0, 2), (0, 1, 2)):
+            if not is_admissible(g, D):
+                continue
+            # The bound on twin classes alone, without component chains.
+            engine = _Engine(g, (DistanceSet.of(D),), True, False)
+            engine._compute_orbits()
+            engine.run("first", None)
+            twins_only.append(engine.witness)
+            full.append(dict(search_labeling(g, D).witness))
+
+    def digest(witnesses):
+        text = json.dumps(witnesses, sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert len(full) == 432
+    assert digest(twins_only) == digest(full) == SCAN_WITNESS_DIGEST
 
 
 def test_exhaustive_modes_respect_the_vertex_cap(monkeypatch):
