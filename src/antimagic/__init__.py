@@ -3,110 +3,87 @@
 Construct closed-form labelings, verify any labeling against any
 distance set, decide star instances outright, and search or scan the
 rest exhaustively.
+
+The names below are re-exported lazily (PEP 562): ``import antimagic``
+loads no submodule, and the first access to a name loads only the
+module that defines it, so a command line request pays for the layers
+it uses.
 """
 
-from .graph import (
-    UNREACHABLE,
-    DistanceSet,
-    GraphError,
-    Labeling,
-    LabelingError,
-    OrientedGraph,
-    WeightReport,
-    d_neighborhood,
-    finite_diameter,
-    is_admissible,
-    verify_labeling,
-)
-from .stars import (
-    ForestSpec,
-    StarGroup,
-    StarShape,
-    build_forest,
-    build_forest_pi,
-    build_homogeneous_forest,
-    build_star,
-    center_vertex,
-    enumerate_forest_orientations,
-    enumerate_star_orientations,
-    leaf_vertex,
-    orientation_class_count,
-)
-from .constructions import (
-    PI_DISTANCE_SETS,
-    STAR_DISTANCE_SETS,
-    ConstructionStatus,
-    Decision,
-    ForestConstruction,
-    Reason,
-    UnsupportedDistanceSetError,
-    characterize_star,
-    closed_form_forest_labeling,
-    construct_homogeneous_forest_labeling,
-    construct_pi_forest_labeling,
-    construct_star_labeling,
-    star_forest_necessary_condition,
-)
-from .search import (
-    SearchResult,
-    SearchStatus,
-    refute_antimagic,
-    search_joint_labeling,
-    search_labeling,
-    vertex_cap,
-)
-from .scan import ScanRow, ScanVerdict, format_scan_table, scan_orientations
-from .io import GraphDocument
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "UNREACHABLE",
-    "DistanceSet",
-    "GraphError",
-    "Labeling",
-    "LabelingError",
-    "OrientedGraph",
-    "WeightReport",
-    "d_neighborhood",
-    "finite_diameter",
-    "is_admissible",
-    "verify_labeling",
-    "ForestSpec",
-    "StarGroup",
-    "StarShape",
-    "build_forest",
-    "build_forest_pi",
-    "build_homogeneous_forest",
-    "build_star",
-    "center_vertex",
-    "enumerate_forest_orientations",
-    "enumerate_star_orientations",
-    "leaf_vertex",
-    "orientation_class_count",
-    "PI_DISTANCE_SETS",
-    "STAR_DISTANCE_SETS",
-    "ConstructionStatus",
-    "Decision",
-    "ForestConstruction",
-    "Reason",
-    "UnsupportedDistanceSetError",
-    "characterize_star",
-    "closed_form_forest_labeling",
-    "construct_homogeneous_forest_labeling",
-    "construct_pi_forest_labeling",
-    "construct_star_labeling",
-    "star_forest_necessary_condition",
-    "SearchResult",
-    "SearchStatus",
-    "refute_antimagic",
-    "search_joint_labeling",
-    "search_labeling",
-    "vertex_cap",
-    "ScanRow",
-    "ScanVerdict",
-    "format_scan_table",
-    "scan_orientations",
-    "GraphDocument",
-    "__version__",
-]
+_EXPORTS = {
+    "graph": (
+        "UNREACHABLE",
+        "DistanceSet",
+        "GraphError",
+        "Labeling",
+        "LabelingError",
+        "OrientedGraph",
+        "UnsupportedDistanceSetError",
+        "WeightReport",
+        "d_neighborhood",
+        "finite_diameter",
+        "is_admissible",
+        "verify_labeling",
+    ),
+    "stars": (
+        "ForestSpec",
+        "StarGroup",
+        "StarShape",
+        "build_forest",
+        "build_forest_pi",
+        "build_homogeneous_forest",
+        "build_star",
+        "center_vertex",
+        "enumerate_forest_orientations",
+        "enumerate_star_orientations",
+        "leaf_vertex",
+        "orientation_class_count",
+    ),
+    "constructions": (
+        "PI_DISTANCE_SETS",
+        "STAR_DISTANCE_SETS",
+        "ConstructionStatus",
+        "Decision",
+        "ForestConstruction",
+        "Reason",
+        "characterize_star",
+        "closed_form_forest_labeling",
+        "construct_homogeneous_forest_labeling",
+        "construct_pi_forest_labeling",
+        "construct_star_labeling",
+        "star_forest_necessary_condition",
+    ),
+    "search": (
+        "SearchResult",
+        "SearchStatus",
+        "refute_antimagic",
+        "search_joint_labeling",
+        "search_labeling",
+        "vertex_cap",
+    ),
+    "scan": ("ScanRow", "ScanVerdict", "format_scan_table", "scan_orientations"),
+    "io": ("GraphDocument",),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    path = f"{__name__}.{module}"
+    __import__(path)  # listed by ``python -X importtime``, unlike import_module
+    value = getattr(sys.modules[path], name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

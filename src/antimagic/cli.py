@@ -13,6 +13,17 @@ contract:
     70  internal error: any uncaught RuntimeError, such as a construction
         or witness that fails its own verification
     74  output error: the reader closed standard output early
+
+Each request is one process, so start-up counts.  A subcommand loads
+only the modules it runs: ``verify`` needs ``graph`` and ``io``
+(imported below); ``construct`` adds ``stars`` and ``constructions``;
+``search``, and any construct that reaches a search or reads the
+vertex cap (``--family forest`` without ``--budget``), adds ``search``;
+``scan`` loads everything.  The handlers bind the names they use from
+those modules on first use with ``_bind``, which never overwrites a
+name that is already set, so a wrapper or test double put on this
+module before ``main`` runs is what the request calls.  A module
+``__getattr__`` resolves the same names before any handler ran.
 """
 
 from __future__ import annotations
@@ -23,50 +34,84 @@ import os
 import sys
 from pathlib import Path
 
-from .constructions import (
-    FALLBACK_SEARCH_BUDGET,
-    ConstructionStatus,
-    UnsupportedDistanceSetError,
-    characterize_star,
-    closed_form_forest_labeling,
-    construct_homogeneous_forest_labeling,
-    construct_pi_forest_labeling,
-    star_forest_necessary_condition,
-)
 from .graph import (
+    UNFIT_DISTANCE_SET,
     DistanceSet,
     GraphError,
     Labeling,
     LabelingError,
     OrientedGraph,
+    UnsupportedDistanceSetError,
+    VertexCapError,
     is_admissible,
     verify_labeling,
 )
 from .io import GraphDocument
-from .scan import (
-    ABORTED,
-    ANTIMAGIC,
-    DEFAULT_CELL_BUDGET,
-    NOT_ANTIMAGIC,
-    format_scan_table,
-    scan_orientations,
-)
-from .search import (
-    UNFIT_DISTANCE_SET,
-    SearchStatus,
-    VertexCapError,
-    search_joint_labeling,
-    search_labeling,
-    vertex_cap,
-)
-from .stars import (
-    ForestSpec,
-    StarShape,
-    build_forest,
-    build_forest_pi,
-    build_homogeneous_forest,
-    build_star,
-)
+
+#: Names each handler binds from the heavier modules, on first use.
+_LAZY = {
+    "stars": (
+        "ForestSpec",
+        "StarShape",
+        "build_forest",
+        "build_forest_pi",
+        "build_homogeneous_forest",
+        "build_star",
+    ),
+    "constructions": (
+        "FALLBACK_SEARCH_BUDGET",
+        "ConstructionStatus",
+        "characterize_star",
+        "closed_form_forest_labeling",
+        "construct_homogeneous_forest_labeling",
+        "construct_pi_forest_labeling",
+        "star_forest_necessary_condition",
+    ),
+    "search": (
+        "DEFAULT_CELL_BUDGET",
+        "SearchStatus",
+        "search_joint_labeling",
+        "search_labeling",
+        "vertex_cap",
+    ),
+    "scan": (
+        "ABORTED",
+        "ANTIMAGIC",
+        "NOT_ANTIMAGIC",
+        "format_scan_table",
+        "scan_orientations",
+    ),
+}
+
+
+def _load(module: str):
+    name = f"{__package__}.{module}"
+    # __import__ rather than importlib.import_module: only the former
+    # shows up under ``python -X importtime``.
+    __import__(name)
+    return sys.modules[name]
+
+
+def _bind(*modules: str) -> None:
+    """Load modules and bind their ``_LAZY`` names here.
+
+    ``setdefault`` keeps a name that is already bound, so a wrapper or
+    test double set on this module before the first call is what runs.
+    """
+    for module in modules:
+        loaded = _load(module)
+        for name in _LAZY[module]:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name):
+    # PEP 562: ``cli.build_forest`` and friends resolve before any
+    # handler has bound them, for hasattr() and monkeypatch.
+    for module, names in _LAZY.items():
+        if name in names:
+            return getattr(_load(module), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_NOT_ANTIMAGIC = 1
@@ -259,6 +304,7 @@ def _requested_sets(args) -> list[DistanceSet]:
 # -- construct --------------------------------------------------------
 
 def _cmd_construct(args) -> int:
+    _bind("stars", "constructions")
     sets = _requested_sets(args)
     family = args.family
     if family == "star":
@@ -310,6 +356,7 @@ def _fit_or_search(args, g, sets, candidates, budget, params: dict) -> int:
             continue
         if all(verify_labeling(g, candidate, D).antimagic for D in sets):
             return _emit_graph(args, g, candidate, sets, "construction", params)
+    _bind("search")
     result = search_joint_labeling(g, sets, mode="first", budget=budget)
     if result.status is SearchStatus.FOUND:
         for D in sets:
@@ -443,8 +490,12 @@ def _construct_forest(args, sets) -> int:
     except GraphError as exc:
         raise _UsageError(str(exc)) from None
     budget = args.budget
-    if budget is None and len(g) > vertex_cap():
-        budget = DEFAULT_CELL_BUDGET
+    if budget is None:
+        # The cap is read even when a closed form answers, so a
+        # malformed ANTIMAGIC_NODE_CAP is refused on every path.
+        _bind("search")
+        if len(g) > vertex_cap():
+            budget = DEFAULT_CELL_BUDGET
     params = {
         "spec": args.spec,
         "orientation": [list(part) for part in orientation],
@@ -530,6 +581,7 @@ def _cmd_verify(args) -> int:
 # -- search -----------------------------------------------------------
 
 def _cmd_search(args) -> int:
+    _bind("search")
     sets = _requested_sets(args)
     doc = _read_document(args.graph)
     g = _graph_of(doc, args.graph)
@@ -584,6 +636,7 @@ def _cmd_search(args) -> int:
 # -- scan -------------------------------------------------------------
 
 def _cmd_scan(args) -> int:
+    _bind("stars", "scan")
     sets = _requested_sets(args)
     try:
         spec = ForestSpec.parse(args.spec)
@@ -616,6 +669,7 @@ def _write_scan_report(out_arg, spec_text, spec, sets, rows, table) -> None:
     json_rows = []
     for r, row in enumerate(rows):
         cells = {}
+        g = None  # built for the row's first witness, shared by the rest
         for c, D in enumerate(sets):
             verdict = row.verdicts[D]
             cell = {
@@ -629,7 +683,8 @@ def _write_scan_report(out_arg, spec_text, spec, sets, rows, table) -> None:
             }
             if verdict.witness is not None:
                 name = f"witness-{r:03d}-{c}.json"
-                g = build_forest(spec, row.orientation)
+                if g is None:
+                    g = build_forest(spec, row.orientation)
                 doc = GraphDocument.from_graph(
                     g,
                     verdict.witness,

@@ -12,16 +12,16 @@ is returned; a closed form never reaches a caller unverified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING, NamedTuple
 
 from .graph import (
     DistanceSet,
     Labeling,
     OrientedGraph,
+    UnsupportedDistanceSetError,
     verify_labeling,
 )
-from .search import SearchResult, SearchStatus, search_labeling
 from .stars import (
     ForestSpec,
     StarShape,
@@ -31,7 +31,11 @@ from .stars import (
     build_star,
     center_vertex,
     leaf_vertex,
+    orientation_sources,
 )
+
+if TYPE_CHECKING:
+    from .search import SearchResult
 
 #: The seven usable distance sets for stars and star forests (directed
 #: distances never exceed 2 there), smallest first.
@@ -49,8 +53,11 @@ STAR_DISTANCE_SETS: tuple[DistanceSet, ...] = (
 FALLBACK_SEARCH_BUDGET = 2_000_000
 
 
-class UnsupportedDistanceSetError(ValueError):
-    """Distance set outside the star domain (some member above 2)."""
+def search_labeling(*args, **kwargs):
+    """The search oracle, loaded on first call so closed forms never load it."""
+    from .search import search_labeling as search
+
+    return search(*args, **kwargs)
 
 
 class Reason(Enum):
@@ -65,8 +72,7 @@ class Reason(Enum):
     MIN_D_POSITIVE = "MIN_D_POSITIVE"
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """Antimagic verdict with its structural reason and, if true, a witness."""
 
     antimagic: bool
@@ -82,8 +88,7 @@ class ConstructionStatus(str, Enum):
     SEARCH_ABORTED = "search-aborted"
 
 
-@dataclass(frozen=True)
-class ForestConstruction:
+class ForestConstruction(NamedTuple):
     """Outcome of a forest labeling request.
 
     A present labeling is always verifier-checked.  ``reason`` is set
@@ -197,6 +202,8 @@ def construct_star_labeling(n: int, t: int, D) -> Labeling | None:
     else:
         # D={1} with n<=2, or D={1,2} with n=2: no closed form is
         # known, but the instances are tiny.
+        from .search import SearchStatus
+
         result = search_labeling(g, D, mode="first")
         if result.status is not SearchStatus.FOUND:
             raise RuntimeError(f"expected a witness for {shape} under {D}")
@@ -366,6 +373,8 @@ def _emit(
 def _search_fallback(
     g: OrientedGraph, D: DistanceSet, budget: int | None
 ) -> ForestConstruction:
+    from .search import SearchStatus
+
     result = search_labeling(g, D, mode="first", budget=budget)
     if result.status is SearchStatus.FOUND:
         report = verify_labeling(g, result.witness, D)
@@ -429,23 +438,28 @@ def closed_form_forest_labeling(
     _require_star_domain(D)
     if not star_forest_necessary_condition(D):
         return None
-    g = build_forest(spec, orientation)
+    # Checks the orientation as build_forest would; the graph itself is
+    # built only once a closed form applies.
+    ts = orientation_sources(spec, orientation)
     if D.members == (0,):
+        g = build_forest(spec, orientation)
         return _gate(g, dict(Labeling.sequential(g)), D)
     sizes = spec.star_sizes()
-    ts = tuple(t for part in orientation for t in part)
-    if all(t == n - 1 for n, t in zip(sizes, ts)):
-        return _gate(g, _single_sink_labels(sizes), D)
+    labels = None
     uniform = len(set(sizes)) == 1 and len(set(ts)) == 1
-    if uniform and len(sizes) >= 2:
+    if all(t == n - 1 for n, t in zip(sizes, ts)):
+        labels = _single_sink_labels(sizes)
+    elif uniform and len(sizes) >= 2:
         m, n, t = len(sizes), sizes[0], ts[0]
         if D.members == (0, 1):
             if t == 0:
-                return _gate(g, _all_sink_labels(m, n), D)
-            if t == n:
-                return _gate(g, _all_source_labels(m, n), D)
-            if 2 <= t <= n - 2:
-                return _gate(g, _mixed_labels(m, n, t), D)
+                labels = _all_sink_labels(m, n)
+            elif t == n:
+                labels = _all_source_labels(m, n)
+            elif 2 <= t <= n - 2:
+                labels = _mixed_labels(m, n, t)
         elif D.members in ((0, 2), (0, 1, 2)) and 1 <= t <= n - 1:
-            return _gate(g, _distance_two_labels(m, n, t), D)
-    return None
+            labels = _distance_two_labels(m, n, t)
+    if labels is None:
+        return None
+    return _gate(build_forest(spec, orientation), labels, D)

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 UNREACHABLE = math.inf
 
@@ -28,6 +27,19 @@ class GraphError(ValueError):
 
 class LabelingError(ValueError):
     """Raised when a labeling is not a bijection onto 1..|V|."""
+
+
+# The next two belong to the search and the star constructions; they
+# live here so that the CLI maps them to exit codes without loading
+# either module.  Both modules re-export them.
+
+
+class VertexCapError(ValueError):
+    """An exhaustive search refused by the vertex cap, or a malformed cap."""
+
+
+class UnsupportedDistanceSetError(ValueError):
+    """Distance set outside the star domain (some member above 2)."""
 
 
 class DistanceSet:
@@ -259,8 +271,7 @@ class Labeling(Mapping):
         return f"Labeling({self._map!r})"
 
 
-@dataclass(frozen=True, eq=True)
-class WeightReport:
+class WeightReport(NamedTuple):
     """Outcome of checking one labeling against one distance set.
 
     ``collisions`` lists every unordered pair of vertices sharing a
@@ -313,6 +324,10 @@ def finite_diameter(g: OrientedGraph) -> int:
         (d for row in g._dist.values() for d in row.values()),
         default=0,
     )
+
+
+#: Refusal reason for a distance set that :func:`is_admissible` rejects.
+UNFIT_DISTANCE_SET = "distance-set-exceeds-diameter"
 
 
 def is_admissible(g: OrientedGraph, D) -> bool:

@@ -9,15 +9,14 @@ bracketed weight per requested distance set.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import DistanceSet, Labeling, OrientedGraph, d_neighborhood
 
 _DOT_COLORS = ("red", "blue", "green", "orange", "purple", "brown")
 
 
-@dataclass(frozen=True)
-class GraphDocument:
+class GraphDocument(NamedTuple):
     """A graph plus an optional labeling and free-form metadata."""
 
     vertices: tuple[str, ...]

@@ -13,23 +13,26 @@ statements about larger forests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constructions import (
     closed_form_forest_labeling,
     star_forest_necessary_condition,
 )
-from .graph import DistanceSet, Labeling, is_admissible, verify_labeling
-from .search import (
+from .graph import (
     UNFIT_DISTANCE_SET,
+    DistanceSet,
+    Labeling,
+    is_admissible,
+    verify_labeling,
+)
+from .search import (
+    DEFAULT_CELL_BUDGET,
     SearchStatus,
     search_labeling,
     vertex_cap,
 )
 from .stars import ForestSpec, build_forest, enumerate_forest_orientations
-
-#: Node budget per cell once a forest exceeds the exhaustive vertex cap.
-DEFAULT_CELL_BUDGET = 200_000
 
 ANTIMAGIC = "antimagic"
 NOT_ANTIMAGIC = "not-antimagic"
@@ -41,8 +44,7 @@ BY_NECESSARY_CONDITION = "necessary-condition"
 BY_UNFIT_DISTANCE_SET = UNFIT_DISTANCE_SET
 
 
-@dataclass(frozen=True)
-class ScanVerdict:
+class ScanVerdict(NamedTuple):
     """One table cell: verdict, how it was reached, and its evidence."""
 
     status: str
@@ -51,8 +53,7 @@ class ScanVerdict:
     nodes_explored: int = 0
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     """Verdicts for one orientation class, keyed by distance set."""
 
     orientation: tuple[tuple[int, ...], ...]

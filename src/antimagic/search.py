@@ -44,14 +44,16 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from math import factorial
+from typing import NamedTuple
 
 from .graph import (
+    UNFIT_DISTANCE_SET,
     DistanceSet,
     Labeling,
     OrientedGraph,
+    VertexCapError,
     d_neighborhood,
     is_admissible,
 )
@@ -59,7 +61,9 @@ from .graph import (
 ENV_VERTEX_CAP = "ANTIMAGIC_NODE_CAP"
 DEFAULT_VERTEX_CAP = 10
 
-UNFIT_DISTANCE_SET = "distance-set-exceeds-diameter"
+#: Node budget for a first-mode search on a graph above the vertex cap
+#: when the caller gives none (scan cells, ``construct --family forest``).
+DEFAULT_CELL_BUDGET = 200_000
 
 
 class SearchStatus(str, Enum):
@@ -68,8 +72,7 @@ class SearchStatus(str, Enum):
     ABORTED = "aborted-budget"
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Outcome of one search run.
 
     ``nodes_explored`` counts visited search-tree nodes, the empty root
@@ -87,10 +90,6 @@ class SearchResult:
     symmetry_order: int = 1
     shortcut: str | None = None
     labelings: tuple[Labeling, ...] | None = None
-
-
-class VertexCapError(ValueError):
-    """An exhaustive search refused by the vertex cap, or a malformed cap."""
 
 
 def vertex_cap() -> int:

@@ -13,29 +13,75 @@ Vertex naming is deterministic: a lone star uses center ``c`` and leaves
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from itertools import combinations_with_replacement, product
 from math import comb
 
 from .graph import GraphError, OrientedGraph
 
 
-@dataclass(frozen=True, order=True)
-class StarShape:
+class _Record:
+    """Immutable value record whose fields are the subclass's ``__slots__``.
+
+    Equality, hashing and ``repr`` go by the fields in slot order, as
+    for a frozen dataclass; assigning or deleting a field raises
+    :class:`AttributeError`.  Subclasses validate in ``__init__`` and
+    store the fields with :meth:`_init`.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())
+        )
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@total_ordering
+class StarShape(_Record):
     """Oriented star parameters: n leaves of which the first t are sources."""
 
-    n: int
-    t: int
+    __slots__ = ("n", "t")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"a star needs at least one leaf, got n={self.n}")
-        if not 0 <= self.t <= self.n:
-            raise ValueError(f"t must lie in 0..n, got t={self.t} for n={self.n}")
+    def __init__(self, n: int, t: int):
+        if n < 1:
+            raise ValueError(f"a star needs at least one leaf, got n={n}")
+        if not 0 <= t <= n:
+            raise ValueError(f"t must lie in 0..n, got t={t} for n={n}")
+        self._init(n, t)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() < other._fields()
+        return NotImplemented
 
 
-@dataclass(frozen=True)
-class StarGroup:
+class StarGroup(_Record):
     """``count`` copies of K_{1,leaves} inside a forest.
 
     ``sources`` fixes the orientation: an int applies one t to every
@@ -43,26 +89,27 @@ class StarGroup:
     unoriented (for enumeration, or for the forced forest-pi pattern).
     """
 
-    count: int
-    leaves: int
-    sources: int | tuple[int, ...] | None = None
+    __slots__ = ("count", "leaves", "sources")
 
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"group needs at least one star, got {self.count}")
-        if self.leaves < 1:
-            raise ValueError(f"stars need at least one leaf, got {self.leaves}")
-        if isinstance(self.sources, int):
-            self._check_t(self.sources)
-        elif self.sources is not None:
-            sources = tuple(self.sources)
-            if len(sources) != self.count:
+    def __init__(
+        self, count: int, leaves: int, sources: int | tuple[int, ...] | None = None
+    ):
+        if count < 1:
+            raise ValueError(f"group needs at least one star, got {count}")
+        if leaves < 1:
+            raise ValueError(f"stars need at least one leaf, got {leaves}")
+        if not (sources is None or isinstance(sources, int)):
+            sources = tuple(sources)
+        self._init(count, leaves, sources)
+        if isinstance(sources, int):
+            self._check_t(sources)
+        elif sources is not None:
+            if len(sources) != count:
                 raise ValueError(
-                    f"need one t per copy: got {len(sources)} for {self.count} stars"
+                    f"need one t per copy: got {len(sources)} for {count} stars"
                 )
             for t in sources:
                 self._check_t(t)
-            object.__setattr__(self, "sources", sources)
 
     def _check_t(self, t: int) -> None:
         if not 0 <= t <= self.leaves:
@@ -77,8 +124,7 @@ class StarGroup:
         return self.sources
 
 
-@dataclass(frozen=True)
-class ForestSpec:
+class ForestSpec(_Record):
     """A star forest: groups of same-size stars with increasing leaf counts.
 
     Groups must be ordered by strictly increasing leaf count (merge
@@ -87,12 +133,11 @@ class ForestSpec:
     each star has exactly one sink leaf, its last one.
     """
 
-    groups: tuple[StarGroup, ...]
-    pi: bool = False
+    __slots__ = ("groups", "pi")
 
-    def __post_init__(self):
-        groups = tuple(self.groups)
-        object.__setattr__(self, "groups", groups)
+    def __init__(self, groups: tuple[StarGroup, ...], pi: bool = False):
+        groups = tuple(groups)
+        self._init(groups, pi)
         if not groups:
             raise ValueError("forest needs at least one group")
         sizes = [group.leaves for group in groups]
@@ -100,7 +145,7 @@ class ForestSpec:
             raise ValueError(
                 f"group leaf counts must strictly increase, got {sizes}"
             )
-        if self.pi and any(group.sources is not None for group in groups):
+        if pi and any(group.sources is not None for group in groups):
             raise ValueError("pi forests fix their orientation; drop the t values")
 
     @classmethod
@@ -202,6 +247,32 @@ def build_homogeneous_forest(m: int, shape: StarShape) -> OrientedGraph:
     return _build_from_sizes((shape.n,) * m, (shape.t,) * m)
 
 
+def orientation_sources(
+    spec: ForestSpec, orientation: tuple[tuple[int, ...], ...]
+) -> tuple[int, ...]:
+    """Per-star t values of an orientation, in star numbering order.
+
+    Raises as :func:`build_forest` does for a spec of fewer than two
+    stars or an orientation that does not fit the spec, without
+    building the graph.
+    """
+    if spec.star_count < 2:
+        raise GraphError("a star forest needs at least two stars")
+    if len(orientation) != len(spec.groups):
+        raise ValueError("need one orientation tuple per group")
+    ts = []
+    for group, part in zip(spec.groups, orientation):
+        if len(part) != group.count:
+            raise ValueError(
+                f"need {group.count} t values for the {group.leaves}-leaf group"
+            )
+        for t in part:
+            if not 0 <= t <= group.leaves:
+                raise ValueError(f"t must lie in 0..{group.leaves}, got {t}")
+        ts.extend(part)
+    return tuple(ts)
+
+
 def build_forest(
     spec: ForestSpec,
     orientation: tuple[tuple[int, ...], ...] | None = None,
@@ -212,26 +283,14 @@ def build_forest(
     tuple of t values per group.  Stars are numbered consecutively
     across groups in spec order.
     """
-    if spec.star_count < 2:
+    if orientation is not None:
+        ts = orientation_sources(spec, orientation)
+    elif spec.star_count < 2:
         raise GraphError("a star forest needs at least two stars")
-    if orientation is None:
-        if spec.pi:
-            return build_forest_pi(spec)
-        ts = tuple(t for group in spec.groups for t in group.source_tuple())
+    elif spec.pi:
+        return build_forest_pi(spec)
     else:
-        if len(orientation) != len(spec.groups):
-            raise ValueError("need one orientation tuple per group")
-        ts = []
-        for group, part in zip(spec.groups, orientation):
-            if len(part) != group.count:
-                raise ValueError(
-                    f"need {group.count} t values for the {group.leaves}-leaf group"
-                )
-            for t in part:
-                if not 0 <= t <= group.leaves:
-                    raise ValueError(f"t must lie in 0..{group.leaves}, got {t}")
-            ts.extend(part)
-        ts = tuple(ts)
+        ts = tuple(t for group in spec.groups for t in group.source_tuple())
     return _build_from_sizes(spec.star_sizes(), ts)
 
 
@@ -278,33 +337,3 @@ def orientation_class_count(spec: ForestSpec) -> int:
         total *= comb(group.leaves + group.count, group.count)
     return total
 
-
-def orientation_classes_from_arcs(
-    spec: ForestSpec,
-) -> set[tuple[tuple[int, ...], ...]]:
-    """Cross-check oracle: enumerate all 2^(#edges) arc directions directly.
-
-    Flips every leaf arc independently and quotients by the leaf and
-    copy permutations, returning the surviving canonical classes.  Only
-    for small instances; the canonical enumerator must agree with it.
-    """
-    sizes = spec.star_sizes()
-    group_slices = []
-    start = 0
-    for group in spec.groups:
-        group_slices.append((start, start + group.count))
-        start += group.count
-    classes: set[tuple[tuple[int, ...], ...]] = set()
-    total_edges = sum(sizes)
-    for bits in product((0, 1), repeat=total_edges):
-        ts = []
-        offset = 0
-        for n in sizes:
-            ts.append(sum(bits[offset : offset + n]))
-            offset += n
-        classes.add(
-            tuple(
-                tuple(sorted(ts[a:b])) for a, b in group_slices
-            )
-        )
-    return classes

@@ -8,7 +8,7 @@ the two routes is evidence rather than tautology.  Keep instances small;
 the point is independence, not speed.
 """
 
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 
@@ -245,3 +245,27 @@ def symmetry_chains(vertices, arcs, distance_sets):
             orbit_prev[nxt] = prev
         order *= factorial(len(family))
     return orbit_prev, order
+
+
+def orientation_classes_from_arcs(spec):
+    """Orientation classes of a star forest from all 2^(#edges) arc directions.
+
+    Flips every leaf arc independently and quotients by the leaf and
+    copy permutations, returning the surviving canonical classes.  Only
+    for small instances; the canonical enumerator must agree with it.
+    """
+    sizes = spec.star_sizes()
+    group_slices = []
+    start = 0
+    for group in spec.groups:
+        group_slices.append((start, start + group.count))
+        start += group.count
+    classes = set()
+    for bits in product((0, 1), repeat=sum(sizes)):
+        ts = []
+        offset = 0
+        for n in sizes:
+            ts.append(sum(bits[offset : offset + n]))
+            offset += n
+        classes.add(tuple(tuple(sorted(ts[a:b])) for a, b in group_slices))
+    return classes

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -582,6 +583,37 @@ def test_scan_writes_report_files(tmp_path, capsys):
         assert bad["antimagic"] is False
         assert bad["method"] == "necessary-condition"
         assert bad["witness"] is None
+
+
+# SHA-256 over the reference scan report (432 witness files, scan.json
+# and scan.txt), each file as name, NUL, bytes, NUL, in name order.
+SCAN_REPORT_DIGEST = "52dde3ce07e35bb9f99b25790fc26197d33bd30f653568780ac2edb83434129b"
+
+
+def test_reference_scan_report_is_byte_stable(tmp_path, capsys, monkeypatch):
+    import antimagic.graph as graph
+
+    builds = []
+    real_init = graph.OrientedGraph.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(None)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(graph.OrientedGraph, "__init__", counted)
+    out_dir = tmp_path / "report"
+    argv = ["scan", "--spec", "2x3,2x4", "--d", "0,1", "--d", "0,2", "--d", "0,1,2"]
+    code, _, _ = run_cli(argv + ["--out", str(out_dir)], capsys)
+    assert code == 0
+    digest = hashlib.sha256()
+    files = sorted(out_dir.iterdir())
+    for path in files:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    assert len(files) == 434
+    assert digest.hexdigest() == SCAN_REPORT_DIGEST
+    # One forest per row in the scan, one per row in the report writer,
+    # and one for each of the 3 cells a closed form answers.
+    assert len(builds) == 150 + 150 + 3
 
 
 def test_scan_rejects_oriented_specs(capsys):

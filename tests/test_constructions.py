@@ -7,6 +7,7 @@ from antimagic import (
     ConstructionStatus,
     DistanceSet,
     ForestSpec,
+    GraphError,
     Labeling,
     LabelingError,
     Reason,
@@ -306,6 +307,41 @@ def test_closed_form_registry_routes():
     # mixed orientations and the single-source class have no closed form
     assert closed_form_forest_labeling(spec, ((0, 1),), D01) is None
     assert closed_form_forest_labeling(spec, ((1, 1),), D01) is None
+
+
+def test_closed_form_builds_the_forest_only_when_a_form_applies(monkeypatch):
+    import antimagic.constructions as constructions
+
+    builds = []
+
+    def counted(spec, orientation=None):
+        builds.append(orientation)
+        return build_forest(spec, orientation)
+
+    monkeypatch.setattr(constructions, "build_forest", counted)
+    spec = ForestSpec.parse("2x3")
+    assert closed_form_forest_labeling(spec, ((0, 1),), D01) is None
+    assert closed_form_forest_labeling(spec, ((1, 1),), D01) is None
+    assert closed_form_forest_labeling(spec, ((0, 0),), D1) is None
+    assert builds == []
+    assert closed_form_forest_labeling(spec, ((2, 2),), D01) is not None
+    assert closed_form_forest_labeling(spec, ((0, 1),), D0) is not None
+    assert builds == [((2, 2),), ((0, 1),)]
+
+
+def test_closed_form_rejects_what_build_forest_rejects():
+    # Orientation errors surface even when no closed form would apply.
+    spec = ForestSpec.parse("2x3")
+    with pytest.raises(ValueError, match="one orientation tuple per group"):
+        closed_form_forest_labeling(spec, ((0, 1), (1,)), D01)
+    with pytest.raises(ValueError, match="need 2 t values"):
+        closed_form_forest_labeling(spec, ((1,),), D01)
+    with pytest.raises(ValueError, match="t must lie in 0..3, got 4"):
+        closed_form_forest_labeling(spec, ((0, 4),), D01)
+    with pytest.raises(GraphError, match="at least two stars"):
+        closed_form_forest_labeling(ForestSpec.parse("1x3"), ((1,),), D01)
+    with pytest.raises(UnsupportedDistanceSetError):
+        closed_form_forest_labeling(spec, ((0, 1),), DistanceSet([0, 3]))
 
 
 def test_closed_form_registry_zero_distance_and_necessary_condition():
