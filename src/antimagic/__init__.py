@@ -28,6 +28,7 @@ _EXPORTS = {
         "finite_diameter",
         "is_admissible",
         "verify_labeling",
+        "vertex_cap",
     ),
     "stars": (
         "ForestSpec",
@@ -39,9 +40,7 @@ _EXPORTS = {
         "build_star",
         "center_vertex",
         "enumerate_forest_orientations",
-        "enumerate_star_orientations",
         "leaf_vertex",
-        "orientation_class_count",
     ),
     "constructions": (
         "PI_DISTANCE_SETS",
@@ -60,10 +59,8 @@ _EXPORTS = {
     "search": (
         "SearchResult",
         "SearchStatus",
-        "refute_antimagic",
         "search_joint_labeling",
         "search_labeling",
-        "vertex_cap",
     ),
     "scan": ("ScanRow", "ScanVerdict", "format_scan_table", "scan_orientations"),
     "io": ("GraphDocument",),

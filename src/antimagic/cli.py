@@ -17,13 +17,16 @@ contract:
 Each request is one process, so start-up counts.  A subcommand loads
 only the modules it runs: ``verify`` needs ``graph`` and ``io``
 (imported below); ``construct`` adds ``stars`` and ``constructions``;
-``search``, and any construct that reaches a search or reads the
-vertex cap (``--family forest`` without ``--budget``), adds ``search``;
-``scan`` loads everything.  The handlers bind the names they use from
-those modules on first use with ``_bind``, which never overwrites a
-name that is already set, so a wrapper or test double put on this
-module before ``main`` runs is what the request calls.  A module
-``__getattr__`` resolves the same names before any handler ran.
+``search``, and any construct or scan cell that reaches a search,
+adds ``search``; ``scan`` adds ``stars``, ``constructions`` and
+``scan``.  Every construct and every scan
+cell is answered by ``constructions.decide``; this module builds the
+graph, picks the family's rule and writes the verdict.  The handlers
+bind the names they use from those modules on first use with
+``_bind``, which never overwrites a name that is already set, so a
+wrapper or test double put on this module before ``main`` runs is
+what the request calls.  A module ``__getattr__`` resolves the same
+names before any handler ran.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ import sys
 from pathlib import Path
 
 from .graph import (
-    UNFIT_DISTANCE_SET,
     DistanceSet,
     GraphError,
     Labeling,
@@ -43,7 +45,6 @@ from .graph import (
     OrientedGraph,
     UnsupportedDistanceSetError,
     VertexCapError,
-    is_admissible,
     verify_labeling,
 )
 from .io import GraphDocument
@@ -57,27 +58,23 @@ _LAZY = {
         "build_forest_pi",
         "build_homogeneous_forest",
         "build_star",
+        "forest_parts",
     ),
     "constructions": (
-        "FALLBACK_SEARCH_BUDGET",
-        "ConstructionStatus",
-        "characterize_star",
-        "closed_form_forest_labeling",
-        "construct_homogeneous_forest_labeling",
-        "construct_pi_forest_labeling",
-        "star_forest_necessary_condition",
-    ),
-    "search": (
-        "DEFAULT_CELL_BUDGET",
-        "SearchStatus",
-        "search_joint_labeling",
-        "search_labeling",
-        "vertex_cap",
-    ),
-    "scan": (
         "ABORTED",
         "ANTIMAGIC",
         "NOT_ANTIMAGIC",
+        "decide",
+        "forest_rule",
+        "homogeneous_rule",
+        "star_rule",
+    ),
+    "search": (
+        "SearchStatus",
+        "search_joint_labeling",
+        "search_labeling",
+    ),
+    "scan": (
         "format_scan_table",
         "scan_orientations",
     ),
@@ -306,14 +303,41 @@ def _requested_sets(args) -> list[DistanceSet]:
 def _cmd_construct(args) -> int:
     _bind("stars", "constructions")
     sets = _requested_sets(args)
-    family = args.family
-    if family == "star":
-        return _construct_star(args, sets)
-    if family == "mstar":
-        return _construct_mstar(args, sets)
-    if family == "forest-pi":
-        return _construct_forest_pi(args, sets)
-    return _construct_forest(args, sets)
+    g, rule, params = _FAMILIES[args.family](args)
+    for D in sets:
+        if D.largest > 2:
+            raise UnsupportedDistanceSetError(
+                f"distances in a star never exceed 2, got {D}"
+            )
+    verdict = decide(g, sets, rule, args.budget)
+    if verdict.witness is not None:
+        metadata = {
+            "family": args.family,
+            **params,
+            "distance_sets": [str(D) for D in sets],
+            "method": verdict.method,
+        }
+        doc = GraphDocument.from_graph(g, verdict.witness, metadata)
+        sys.stdout.write(doc.to_dot(sets) if args.format == "dot" else doc.to_json())
+        return EXIT_OK
+    if verdict.search is None:
+        _print_json(
+            {
+                "status": "not-antimagic",
+                "distance_set": str(verdict.refuted),
+                "reason": verdict.reason.value,
+            }
+        )
+        return EXIT_NONE_EXISTS
+    exhausted = verdict.status == NOT_ANTIMAGIC
+    _print_json(
+        {
+            "status": "search-exhausted" if exhausted else "search-aborted",
+            "distance_sets": [str(D) for D in sets],
+            "nodes_explored": verdict.nodes_explored,
+        }
+    )
+    return EXIT_NONE_EXISTS if exhausted else EXIT_BUDGET
 
 
 def _need(args, names: tuple[str, ...]) -> None:
@@ -324,157 +348,41 @@ def _need(args, names: tuple[str, ...]) -> None:
         )
 
 
-def _refuse(payload: dict, code: int) -> int:
-    _print_json(payload)
-    return code
+# Each family turns its flags into (graph, rule, metadata parameters).
 
-
-def _emit_graph(args, g, labeling, sets, method: str, params: dict) -> int:
-    metadata = {
-        "family": args.family,
-        **params,
-        "distance_sets": [str(D) for D in sets],
-        "method": method,
-    }
-    doc = GraphDocument.from_graph(g, labeling, metadata)
-    if args.format == "dot":
-        sys.stdout.write(doc.to_dot(sets))
-    else:
-        sys.stdout.write(doc.to_json())
-    return EXIT_OK
-
-
-def _fit_or_search(args, g, sets, candidates, budget, params: dict) -> int:
-    """Emit one labeling antimagic under every requested set.
-
-    Candidates are per-set labelings from the family machinery; the
-    first one passing all sets wins.  Otherwise the joint oracle decides
-    the multi-set instance.
-    """
-    for candidate in candidates:
-        if candidate is None:
-            continue
-        if all(verify_labeling(g, candidate, D).antimagic for D in sets):
-            return _emit_graph(args, g, candidate, sets, "construction", params)
-    _bind("search")
-    result = search_joint_labeling(g, sets, mode="first", budget=budget)
-    if result.status is SearchStatus.FOUND:
-        for D in sets:
-            if not verify_labeling(g, result.witness, D).antimagic:
-                raise RuntimeError("search returned an invalid witness")
-        return _emit_graph(args, g, result.witness, sets, "search", params)
-    if result.status is SearchStatus.EXHAUSTED:
-        return _refuse(
-            {
-                "status": "search-exhausted",
-                "distance_sets": [str(D) for D in sets],
-                "nodes_explored": result.nodes_explored,
-            },
-            EXIT_NONE_EXISTS,
-        )
-    return _refuse(
-        {
-            "status": "search-aborted",
-            "distance_sets": [str(D) for D in sets],
-            "nodes_explored": result.nodes_explored,
-        },
-        EXIT_BUDGET,
-    )
-
-
-def _construct_star(args, sets) -> int:
+def _star(args):
     _need(args, ("n", "t"))
     try:
         shape = StarShape(n=args.n, t=args.t)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    g = build_star(shape)
-    params = {"n": args.n, "t": args.t}
-    candidates = []
-    for D in sets:
-        decision = characterize_star(args.n, args.t, D)
-        if not decision.antimagic:
-            return _refuse(
-                {
-                    "status": "not-antimagic",
-                    "distance_set": str(D),
-                    "reason": decision.reason.value,
-                },
-                EXIT_NONE_EXISTS,
-            )
-        candidates.append(decision.witness)
-    return _fit_or_search(args, g, sets, candidates, args.budget, params)
+    return build_star(shape), star_rule(args.n, args.t), {"n": args.n, "t": args.t}
 
 
-def _construct_mstar(args, sets) -> int:
+def _mstar(args):
     _need(args, ("m", "n", "t"))
     try:
         shape = StarShape(n=args.n, t=args.t)
         g = build_homogeneous_forest(args.m, shape)
     except (ValueError, GraphError) as exc:
         raise _UsageError(str(exc)) from None
-    budget = args.budget if args.budget is not None else FALLBACK_SEARCH_BUDGET
     params = {"m": args.m, "n": args.n, "t": args.t}
-    candidates = []
-    for D in sets:
-        outcome = construct_homogeneous_forest_labeling(
-            args.m, args.n, args.t, D, search_budget=budget
-        )
-        if outcome.status is ConstructionStatus.NOT_ANTIMAGIC:
-            return _refuse(
-                {
-                    "status": "not-antimagic",
-                    "distance_set": str(D),
-                    "reason": outcome.reason.value,
-                },
-                EXIT_NONE_EXISTS,
-            )
-        if outcome.status is ConstructionStatus.SEARCH_EXHAUSTED:
-            return _refuse(
-                {
-                    "status": "search-exhausted",
-                    "distance_set": str(D),
-                    "nodes_explored": outcome.search.nodes_explored,
-                },
-                EXIT_NONE_EXISTS,
-            )
-        if outcome.status is ConstructionStatus.SEARCH_ABORTED:
-            return _refuse(
-                {
-                    "status": "search-aborted",
-                    "distance_set": str(D),
-                    "nodes_explored": outcome.search.nodes_explored,
-                },
-                EXIT_BUDGET,
-            )
-        candidates.append(outcome.labeling)
-    return _fit_or_search(args, g, sets, candidates, budget, params)
+    return g, homogeneous_rule(args.m, args.n, args.t), params
 
 
-def _construct_forest_pi(args, sets) -> int:
+def _forest_pi(args):
     _need(args, ("spec",))
     try:
         spec = ForestSpec.parse(args.spec, pi=True)
         g = build_forest_pi(spec)
     except (ValueError, GraphError) as exc:
         raise _UsageError(str(exc)) from None
-    params = {"spec": args.spec, "pi": True}
-    for D in sets:
-        if not is_admissible(g, D):
-            return _refuse(
-                {
-                    "status": "not-antimagic",
-                    "distance_set": str(D),
-                    "reason": UNFIT_DISTANCE_SET,
-                },
-                EXIT_NONE_EXISTS,
-            )
-    # One labeling serves every supported set; the fit check re-verifies.
-    candidates = [construct_pi_forest_labeling(spec, sets[0])]
-    return _fit_or_search(args, g, sets, candidates, args.budget, params)
+    sizes = spec.star_sizes()
+    rule = forest_rule(sizes, tuple(n - 1 for n in sizes))
+    return g, rule, {"spec": args.spec, "pi": True}
 
 
-def _construct_forest(args, sets) -> int:
+def _forest(args):
     _need(args, ("spec",))
     try:
         spec = ForestSpec.parse(args.spec)
@@ -489,39 +397,16 @@ def _construct_forest(args, sets) -> int:
         g = build_forest(spec, orientation)
     except GraphError as exc:
         raise _UsageError(str(exc)) from None
-    budget = args.budget
-    if budget is None:
-        # The cap is read even when a closed form answers, so a
-        # malformed ANTIMAGIC_NODE_CAP is refused on every path.
-        _bind("search")
-        if len(g) > vertex_cap():
-            budget = DEFAULT_CELL_BUDGET
+    ts = tuple(t for part in orientation for t in part)
+    rule = forest_rule(spec.star_sizes(), ts)
     params = {
         "spec": args.spec,
         "orientation": [list(part) for part in orientation],
     }
-    candidates = []
-    for D in sets:
-        if not star_forest_necessary_condition(D):
-            return _refuse(
-                {
-                    "status": "not-antimagic",
-                    "distance_set": str(D),
-                    "reason": "MIN_D_POSITIVE",
-                },
-                EXIT_NONE_EXISTS,
-            )
-        if not is_admissible(g, D):
-            return _refuse(
-                {
-                    "status": "not-antimagic",
-                    "distance_set": str(D),
-                    "reason": UNFIT_DISTANCE_SET,
-                },
-                EXIT_NONE_EXISTS,
-            )
-        candidates.append(closed_form_forest_labeling(spec, orientation, D))
-    return _fit_or_search(args, g, sets, candidates, budget, params)
+    return g, rule, params
+
+
+_FAMILIES = {"star": _star, "mstar": _mstar, "forest-pi": _forest_pi, "forest": _forest}
 
 
 # -- verify -----------------------------------------------------------
@@ -636,7 +521,7 @@ def _cmd_search(args) -> int:
 # -- scan -------------------------------------------------------------
 
 def _cmd_scan(args) -> int:
-    _bind("stars", "scan")
+    _bind("stars", "constructions", "scan")
     sets = _requested_sets(args)
     try:
         spec = ForestSpec.parse(args.spec)
@@ -666,10 +551,13 @@ def _write_scan_report(out_arg, spec_text, spec, sets, rows, table) -> None:
     except OSError as exc:
         raise _DataError(f"cannot create {out_arg!r}: {exc}") from None
     (out / "scan.txt").write_text(table + "\n", encoding="utf-8")
+    sizes = spec.star_sizes()
     json_rows = []
     for r, row in enumerate(rows):
         cells = {}
-        g = None  # built for the row's first witness, shared by the rest
+        # The row's vertices and arcs, listed without building its graph
+        # again: the graph's all-pairs distances are not needed here.
+        parts = forest_parts(sizes, tuple(t for part in row.orientation for t in part))
         for c, D in enumerate(sets):
             verdict = row.verdicts[D]
             cell = {
@@ -683,10 +571,8 @@ def _write_scan_report(out_arg, spec_text, spec, sets, rows, table) -> None:
             }
             if verdict.witness is not None:
                 name = f"witness-{r:03d}-{c}.json"
-                if g is None:
-                    g = build_forest(spec, row.orientation)
-                doc = GraphDocument.from_graph(
-                    g,
+                doc = GraphDocument(
+                    *parts,
                     verdict.witness,
                     {
                         "spec": spec_text,

@@ -1,26 +1,31 @@
-"""Closed-form D-antimagic labelings and decision procedures for stars.
+"""Closed-form D-antimagic labelings, and the one decision ladder.
 
 Oriented stars are fully characterized for every distance set with
 maximum at most 2; star forests have closed-form labelings for the
-orientation families where one is known, and fall back to the
-exhaustive search oracle where the known arguments leave a hole (the
-single-source orientation t=1 of homogeneous forests).
+orientation families where one is known.  :func:`decide` answers every
+construct and scan question the same way: a refusal by theorem or by
+the graph's shape, else a closed form, else the exhaustive search
+oracle, which is loaded only when a question reaches it.
 
-Every labeling built here is re-checked through the verifier before it
-is returned; a closed form never reaches a caller unverified.
+Every labeling returned here passed the verifier first; a closed form
+never reaches a caller unverified.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .graph import (
+    DEFAULT_CELL_BUDGET,
+    UNFIT_DISTANCE_SET,
     DistanceSet,
     Labeling,
     OrientedGraph,
     UnsupportedDistanceSetError,
+    is_admissible,
     verify_labeling,
+    vertex_cap,
 )
 from .stars import (
     ForestSpec,
@@ -49,13 +54,28 @@ STAR_DISTANCE_SETS: tuple[DistanceSet, ...] = (
     DistanceSet([0, 1, 2]),
 )
 
-#: Node budget for the search fallback inside forest construction.
-FALLBACK_SEARCH_BUDGET = 2_000_000
+# Verdict statuses, and the methods that reach them.
+ANTIMAGIC = "antimagic"
+NOT_ANTIMAGIC = "not-antimagic"
+ABORTED = "aborted"
+
+BY_CONSTRUCTION = "construction"
+BY_SEARCH = "search"
+BY_THEOREM = "theorem"
+BY_NECESSARY_CONDITION = "necessary-condition"
+BY_UNFIT_DISTANCE_SET = UNFIT_DISTANCE_SET
 
 
 def search_labeling(*args, **kwargs):
     """The search oracle, loaded on first call so closed forms never load it."""
     from .search import search_labeling as search
+
+    return search(*args, **kwargs)
+
+
+def search_joint_labeling(*args, **kwargs):
+    """The joint search oracle, loaded on first call like :func:`search_labeling`."""
+    from .search import search_joint_labeling as search
 
     return search(*args, **kwargs)
 
@@ -70,6 +90,7 @@ class Reason(Enum):
     N_EXCEEDS_BOUND = "N_EXCEEDS_BOUND"
     ZERO_WEIGHT_TIE = "ZERO_WEIGHT_TIE"
     MIN_D_POSITIVE = "MIN_D_POSITIVE"
+    UNFIT_DISTANCE_SET = UNFIT_DISTANCE_SET
 
 
 class Decision(NamedTuple):
@@ -103,6 +124,33 @@ class ForestConstruction(NamedTuple):
     search: SearchResult | None = None
 
 
+class Verdict(NamedTuple):
+    """The answer of :func:`decide`, with its evidence.
+
+    ``status`` is ANTIMAGIC, NOT_ANTIMAGIC or ABORTED, and ``method``
+    says how it was reached.  A refusal names its ``reason`` and the
+    distance set it ``refuted``; a positive verdict carries a verified
+    ``witness``; a verdict the search reached carries the search's
+    result.
+    """
+
+    status: str
+    method: str
+    witness: Labeling | None = None
+    reason: Reason | None = None
+    refuted: DistanceSet | None = None
+    search: SearchResult | None = None
+
+    @property
+    def nodes_explored(self) -> int:
+        return 0 if self.search is None else self.search.nodes_explored
+
+
+#: What a family knows about one distance set: a theorem that refutes
+#: it, a closed-form labeling (vertex -> label) to try, or nothing.
+Rule = Callable[[DistanceSet], Reason | dict | None]
+
+
 def star_forest_necessary_condition(D) -> bool:
     """A star forest can only be D-antimagic when 0 lies in D.
 
@@ -123,9 +171,68 @@ def _require_star_domain(D: DistanceSet) -> None:
 def _gate(g: OrientedGraph, labels: dict, D: DistanceSet) -> Labeling | None:
     """Verify a candidate labeling; None when it fails the check."""
     labeling = Labeling(labels)
-    labeling.validate_for(g)
-    report = verify_labeling(g, labeling, D)
-    return labeling if report.antimagic else None
+    return labeling if verify_labeling(g, labeling, D).antimagic else None
+
+
+# -- the decision ladder ----------------------------------------------
+
+def decide(g: OrientedGraph, sets, rule: Rule, budget: int | None = None) -> Verdict:
+    """Is g antimagic under every given distance set at once?
+
+    One ladder, tried in order:
+
+    1. per set, a refusal: the family's theorem from ``rule``; then,
+       without distance 0, two vertices with no out-arc (both weigh
+       zero); then a set reaching past the graph's finite diameter;
+    2. the first closed form, gated by the verifier under its own set,
+       that is antimagic under every set (under {0} a weight is the
+       vertex's own label, so the sequential labeling serves);
+    3. one search over all the sets, its witness gated too.
+
+    ``budget`` caps that search; without one, a graph above
+    :func:`vertex_cap` gets ``DEFAULT_CELL_BUDGET`` and a smaller one
+    is searched to the end.  A closed form that fails its own set, or a
+    witness that fails any set, is a bug and raises RuntimeError.
+    """
+    sets = tuple(DistanceSet.of(D) for D in sets)
+    if budget is None and len(g) > vertex_cap():
+        budget = DEFAULT_CELL_BUDGET
+    candidates = []
+    for D in sets:
+        if D.members == (0,):
+            candidates.append((D, Labeling.sequential(g)))
+            continue
+        answer = rule(D)
+        if isinstance(answer, Reason):
+            return _refusal(BY_THEOREM, answer, D)
+        if 0 not in D and sum(not g.out_neighbors(v) for v in g) > 1:
+            return _refusal(BY_NECESSARY_CONDITION, Reason.MIN_D_POSITIVE, D)
+        if not is_admissible(g, D):
+            return _refusal(BY_UNFIT_DISTANCE_SET, Reason.UNFIT_DISTANCE_SET, D)
+        if answer is not None:
+            candidates.append((D, answer))
+    for D, labels in candidates:
+        labeling = _gate(g, labels, D)
+        if labeling is None:
+            raise RuntimeError(f"closed form failed verification under {D}")
+        if all(verify_labeling(g, labeling, E).antimagic for E in sets if E != D):
+            return Verdict(ANTIMAGIC, BY_CONSTRUCTION, witness=labeling)
+    if len(sets) == 1:
+        result = search_labeling(g, sets[0], mode="first", budget=budget)
+    else:
+        result = search_joint_labeling(g, sets, mode="first", budget=budget)
+    if result.witness is not None:
+        if not all(verify_labeling(g, result.witness, D).antimagic for D in sets):
+            raise RuntimeError("search returned an invalid witness")
+        return Verdict(ANTIMAGIC, BY_SEARCH, witness=result.witness, search=result)
+    from .search import SearchStatus
+
+    status = ABORTED if result.status is SearchStatus.ABORTED else NOT_ANTIMAGIC
+    return Verdict(status, BY_SEARCH, search=result)
+
+
+def _refusal(method: str, reason: Reason, D: DistanceSet) -> Verdict:
+    return Verdict(NOT_ANTIMAGIC, method, reason=reason, refuted=D)
 
 
 # -- single stars -----------------------------------------------------
@@ -180,38 +287,33 @@ def _star_obstruction(n: int, t: int, D: DistanceSet) -> Reason:
     return Reason.TWO_SOURCE_LEAVES
 
 
+def star_rule(n: int, t: int) -> Rule:
+    """The star characterization as a :func:`decide` rule.
+
+    A negative verdict is refused with its obstruction; {0,1}, {0,2}
+    and {0,1,2} have closed forms.  The positive cases of {1} (n <= 2)
+    and {1,2} (n = 2) have none, so the search finds their witnesses.
+    """
+
+    def rule(D: DistanceSet):
+        if not _star_verdict(n, t, D):
+            return _star_obstruction(n, t, D)
+        if D.members == (0, 1):
+            return _leaf_index_labels(n)
+        if D.members in ((0, 2), (0, 1, 2)):
+            return _center_mid_labels(n, t)
+        return None
+
+    return rule
+
+
 def construct_star_labeling(n: int, t: int, D) -> Labeling | None:
     """A D-antimagic labeling of the oriented star, or None if none exists.
 
     Closed forms cover D={0}, {0,1}, {0,2} and {0,1,2}; the small
     positive cases of D={1} and {1,2} come from the exhaustive oracle.
     """
-    shape = StarShape(n=n, t=t)
-    D = DistanceSet.of(D)
-    _require_star_domain(D)
-    if not _star_verdict(n, t, D):
-        return None
-    g = build_star(shape)
-    key = D.members
-    if key == (0,):
-        labels = dict(Labeling.sequential(g))
-    elif key == (0, 1):
-        labels = _leaf_index_labels(n)
-    elif key in ((0, 2), (0, 1, 2)):
-        labels = _center_mid_labels(n, t)
-    else:
-        # D={1} with n<=2, or D={1,2} with n=2: no closed form is
-        # known, but the instances are tiny.
-        from .search import SearchStatus
-
-        result = search_labeling(g, D, mode="first")
-        if result.status is not SearchStatus.FOUND:
-            raise RuntimeError(f"expected a witness for {shape} under {D}")
-        return result.witness
-    labeling = _gate(g, labels, D)
-    if labeling is None:
-        raise RuntimeError(f"closed form failed verification for {shape} under {D}")
-    return labeling
+    return characterize_star(n, t, D).witness
 
 
 def characterize_star(n: int, t: int, D) -> Decision:
@@ -221,19 +323,22 @@ def characterize_star(n: int, t: int, D) -> Decision:
     :class:`UnsupportedDistanceSetError`).  A true decision carries a
     verified witness labeling.
     """
-    StarShape(n=n, t=t)
+    shape = StarShape(n=n, t=t)
     D = DistanceSet.of(D)
     _require_star_domain(D)
-    if _star_verdict(n, t, D):
+    verdict = decide(build_star(shape), (D,), star_rule(n, t))
+    if verdict.witness is not None:
         return Decision(
             antimagic=True,
             reason=Reason.CONSTRUCTION_EXISTS,
-            witness=construct_star_labeling(n, t, D),
+            witness=verdict.witness,
         )
-    return Decision(antimagic=False, reason=_star_obstruction(n, t, D))
+    if verdict.reason is None:
+        raise RuntimeError(f"expected a witness for {shape} under {D}")
+    return Decision(antimagic=False, reason=verdict.reason)
 
 
-# -- homogeneous forests ----------------------------------------------
+# -- star forests -----------------------------------------------------
 
 def _all_sink_labels(m: int, n: int) -> dict:
     """Homogeneous forest, every center a source (t=0), D={0,1}."""
@@ -301,13 +406,70 @@ def _single_sink_labels(sizes: tuple[int, ...]) -> dict:
     return labels
 
 
+def forest_rule(sizes: tuple[int, ...], ts: tuple[int, ...]) -> Rule:
+    """The star-forest closed forms as a :func:`decide` rule.
+
+    ``sizes`` and ``ts`` give each star's leaf and source counts in
+    star order.  One sink leaf per star takes the single-sink pattern;
+    m >= 2 copies of one oriented star under {0,1} take the all-sink
+    (t=0), all-source (t=n) or mixed (2 <= t <= n-2) form, and under
+    {0,2} or {0,1,2} the distance-two form when the centers are
+    internal.  Any other forest has no known closed form, not even the
+    single source leaf per star (t=1, n >= 3) under {0,1}.
+    """
+    single_sink = all(t == n - 1 for n, t in zip(sizes, ts))
+    uniform = len(sizes) >= 2 and len(set(sizes)) == 1 and len(set(ts)) == 1
+
+    def rule(D: DistanceSet):
+        if single_sink:
+            return _single_sink_labels(sizes)
+        if not uniform:
+            return None
+        m, n, t = len(sizes), sizes[0], ts[0]
+        if D.members == (0, 1):
+            if t == 0:
+                return _all_sink_labels(m, n)
+            if t == n:
+                return _all_source_labels(m, n)
+            if 2 <= t <= n - 2:
+                return _mixed_labels(m, n, t)
+        elif D.members in ((0, 2), (0, 1, 2)) and 1 <= t <= n - 1:
+            return _distance_two_labels(m, n, t)
+        return None
+
+    return rule
+
+
+def homogeneous_rule(m: int, n: int, t: int) -> Rule:
+    """:func:`forest_rule` for m copies of one star, plus its theorem.
+
+    {0,2} and {0,1,2} need internal centers (1 <= t <= n-1): without
+    them no vertex is two steps from another.  Where two forms give the
+    same labeling (the distance-two and single-sink forms at t = n-1,
+    the all-sink and single-sink forms at n = 1), this family lists it
+    in the order of the form it always used, so its output stays the same.
+    """
+    forest = forest_rule((n,) * m, (t,) * m)
+
+    def rule(D: DistanceSet):
+        if D.members in ((0, 2), (0, 1, 2)):
+            if not 1 <= t <= n - 1:
+                return Reason.CENTER_SOURCE_OR_SINK
+            return _distance_two_labels(m, n, t)
+        if D.members == (0, 1) and t == 0:
+            return _all_sink_labels(m, n)
+        return forest(D)
+
+    return rule
+
+
 def construct_homogeneous_forest_labeling(
     m: int,
     n: int,
     t: int,
     D,
     *,
-    search_budget: int | None = FALLBACK_SEARCH_BUDGET,
+    search_budget: int | None = None,
 ) -> ForestConstruction:
     """A D-antimagic labeling of m disjoint copies of K_{1,n} with t sources.
 
@@ -315,84 +477,34 @@ def construct_homogeneous_forest_labeling(
     t=n, t=n-1 and 2 <= t <= n-2; D={0,2} and {0,1,2} are covered for
     every internal-center orientation and impossible otherwise.  The
     remaining orientation t=1 (n >= 3) has no known closed form and is
-    delegated to the search oracle, whose verdict for the instance is
+    delegated to the search oracle (``search_budget`` nodes, or the
+    default of :func:`decide`), whose verdict for the instance is
     reported as found or exhausted rather than assumed.
     """
     shape = StarShape(n=n, t=t)
     D = DistanceSet.of(D)
     _require_star_domain(D)
-    if not star_forest_necessary_condition(D):
-        return ForestConstruction(
-            status=ConstructionStatus.NOT_ANTIMAGIC, reason=Reason.MIN_D_POSITIVE
-        )
     g = build_homogeneous_forest(m, shape)
-    if D.members == (0,):
-        labels = dict(Labeling.sequential(g))
-        return _emit(g, labels, D)
-    if D.members in ((0, 2), (0, 1, 2)):
-        if not 1 <= t <= n - 1:
-            return ForestConstruction(
-                status=ConstructionStatus.NOT_ANTIMAGIC,
-                reason=Reason.CENTER_SOURCE_OR_SINK,
-            )
-        return _emit(g, _distance_two_labels(m, n, t), D)
-    # D = {0,1}: pick the closed form for the orientation family.
-    labels = None
-    if t == 0:
-        labels = _all_sink_labels(m, n)
-    elif t == n:
-        labels = _all_source_labels(m, n)
-    elif t == n - 1:
-        labels = _single_sink_labels((n,) * m)
-    elif 2 <= t <= n - 2:
-        labels = _mixed_labels(m, n, t)
-    if labels is not None:
-        outcome = _emit(g, labels, D, fallback_budget=search_budget)
-        return outcome
-    return _search_fallback(g, D, search_budget)
-
-
-def _emit(
-    g: OrientedGraph,
-    labels: dict,
-    D: DistanceSet,
-    fallback_budget: int | None = None,
-) -> ForestConstruction:
-    labeling = _gate(g, labels, D)
-    if labeling is not None:
+    verdict = decide(g, (D,), homogeneous_rule(m, n, t), search_budget)
+    if verdict.method == BY_CONSTRUCTION:
         return ForestConstruction(
             status=ConstructionStatus.CONSTRUCTED,
-            labeling=labeling,
+            labeling=verdict.witness,
             reason=Reason.CONSTRUCTION_EXISTS,
         )
-    if fallback_budget is None:
-        raise RuntimeError(f"closed form failed verification under {D}")
-    return _search_fallback(g, D, fallback_budget)
-
-
-def _search_fallback(
-    g: OrientedGraph, D: DistanceSet, budget: int | None
-) -> ForestConstruction:
-    from .search import SearchStatus
-
-    result = search_labeling(g, D, mode="first", budget=budget)
-    if result.status is SearchStatus.FOUND:
-        report = verify_labeling(g, result.witness, D)
-        if not report.antimagic:
-            raise RuntimeError("search returned an invalid witness")
+    if verdict.search is None:
         return ForestConstruction(
-            status=ConstructionStatus.SEARCH_FOUND,
-            labeling=result.witness,
-            search=result,
+            status=ConstructionStatus.NOT_ANTIMAGIC, reason=verdict.reason
         )
-    if result.status is SearchStatus.EXHAUSTED:
-        return ForestConstruction(
-            status=ConstructionStatus.SEARCH_EXHAUSTED, search=result
-        )
-    return ForestConstruction(status=ConstructionStatus.SEARCH_ABORTED, search=result)
+    status = {
+        ANTIMAGIC: ConstructionStatus.SEARCH_FOUND,
+        NOT_ANTIMAGIC: ConstructionStatus.SEARCH_EXHAUSTED,
+        ABORTED: ConstructionStatus.SEARCH_ABORTED,
+    }[verdict.status]
+    return ForestConstruction(
+        status=status, labeling=verdict.witness, search=verdict.search
+    )
 
-
-# -- heterogeneous forests --------------------------------------------
 
 PI_DISTANCE_SETS: tuple[DistanceSet, ...] = (
     DistanceSet([0, 1]),
@@ -444,22 +556,7 @@ def closed_form_forest_labeling(
     if D.members == (0,):
         g = build_forest(spec, orientation)
         return _gate(g, dict(Labeling.sequential(g)), D)
-    sizes = spec.star_sizes()
-    labels = None
-    uniform = len(set(sizes)) == 1 and len(set(ts)) == 1
-    if all(t == n - 1 for n, t in zip(sizes, ts)):
-        labels = _single_sink_labels(sizes)
-    elif uniform and len(sizes) >= 2:
-        m, n, t = len(sizes), sizes[0], ts[0]
-        if D.members == (0, 1):
-            if t == 0:
-                labels = _all_sink_labels(m, n)
-            elif t == n:
-                labels = _all_source_labels(m, n)
-            elif 2 <= t <= n - 2:
-                labels = _mixed_labels(m, n, t)
-        elif D.members in ((0, 2), (0, 1, 2)) and 1 <= t <= n - 1:
-            labels = _distance_two_labels(m, n, t)
+    labels = forest_rule(spec.star_sizes(), ts)(D)
     if labels is None:
         return None
     return _gate(build_forest(spec, orientation), labels, D)

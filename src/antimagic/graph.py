@@ -14,6 +14,7 @@ labeling is D-antimagic when all D-weights are pairwise distinct.
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -29,13 +30,33 @@ class LabelingError(ValueError):
     """Raised when a labeling is not a bijection onto 1..|V|."""
 
 
-# The next two belong to the search and the star constructions; they
-# live here so that the CLI maps them to exit codes without loading
-# either module.  Both modules re-export them.
+# The next two belong to the search and the star constructions, and the
+# vertex cap below to the search; they live here so that the CLI maps
+# the errors to exit codes, and a decision reads the cap, without
+# loading either module.  Both modules re-export them.
 
 
 class VertexCapError(ValueError):
     """An exhaustive search refused by the vertex cap, or a malformed cap."""
+
+
+ENV_VERTEX_CAP = "ANTIMAGIC_NODE_CAP"
+DEFAULT_VERTEX_CAP = 10
+
+#: Node budget for a first-mode search on a graph above the vertex cap
+#: when the caller gives none.
+DEFAULT_CELL_BUDGET = 200_000
+
+
+def vertex_cap() -> int:
+    """Vertex limit for exhaustive modes; ANTIMAGIC_NODE_CAP overrides it."""
+    raw = os.environ.get(ENV_VERTEX_CAP)
+    if raw is None:
+        return DEFAULT_VERTEX_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise VertexCapError(f"{ENV_VERTEX_CAP} must be an integer, got {raw!r}") from None
 
 
 class UnsupportedDistanceSetError(ValueError):
@@ -337,4 +358,6 @@ def is_admissible(g: OrientedGraph, D) -> bool:
     directed distance reaches it; a graph cannot be D-antimagic for a
     distance set it does not fit.
     """
-    return DistanceSet.of(D).largest <= finite_diameter(g)
+    largest = DistanceSet.of(D).largest
+    # Stops at the first pair that far apart, without the full diameter.
+    return any(d >= largest for row in g._dist.values() for d in row.values())

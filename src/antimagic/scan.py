@@ -1,11 +1,11 @@
 """Sweep every orientation class of a star forest against distance sets.
 
-Each cell of the resulting table is decided by, in order: the
-positive-minimum-distance obstruction, the distance-set fit against the
-forest's diameter, a known closed-form labeling, and finally the
-backtracking oracle (exhaustive within the vertex cap, budgeted
-beyond it).  Verdicts are backed by a verified witness or by recorded
-exhaustion; budget-limited cells stay honestly undecided.
+Each cell of the resulting table is one :func:`~antimagic.constructions.decide`
+question: the positive-minimum-distance obstruction, the distance-set
+fit against the forest's diameter, a known closed-form labeling, and
+finally the backtracking oracle (exhaustive within the vertex cap,
+budgeted beyond it).  Verdicts are backed by a verified witness or by
+recorded exhaustion; budget-limited cells stay honestly undecided.
 
 The tables are empirical surveys of the scanned instances, not general
 statements about larger forests.
@@ -15,33 +15,24 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .constructions import (
-    closed_form_forest_labeling,
-    star_forest_necessary_condition,
+from .constructions import (  # the statuses and methods are re-exported
+    ABORTED,
+    ANTIMAGIC,
+    BY_CONSTRUCTION,
+    BY_NECESSARY_CONDITION,
+    BY_SEARCH,
+    BY_UNFIT_DISTANCE_SET,
+    NOT_ANTIMAGIC,
+    decide,
+    forest_rule,
 )
-from .graph import (
-    UNFIT_DISTANCE_SET,
-    DistanceSet,
-    Labeling,
-    is_admissible,
-    verify_labeling,
+from .graph import DistanceSet, Labeling
+from .stars import (
+    ForestSpec,
+    build_forest,
+    enumerate_forest_orientations,
+    orientation_sources,
 )
-from .search import (
-    DEFAULT_CELL_BUDGET,
-    SearchStatus,
-    search_labeling,
-    vertex_cap,
-)
-from .stars import ForestSpec, build_forest, enumerate_forest_orientations
-
-ANTIMAGIC = "antimagic"
-NOT_ANTIMAGIC = "not-antimagic"
-ABORTED = "aborted"
-
-BY_CONSTRUCTION = "construction"
-BY_SEARCH = "search"
-BY_NECESSARY_CONDITION = "necessary-condition"
-BY_UNFIT_DISTANCE_SET = UNFIT_DISTANCE_SET
 
 
 class ScanVerdict(NamedTuple):
@@ -60,37 +51,6 @@ class ScanRow(NamedTuple):
     verdicts: dict[DistanceSet, ScanVerdict]
 
 
-def _cell(spec, orientation, g, D, budget) -> ScanVerdict:
-    if not star_forest_necessary_condition(D):
-        return ScanVerdict(status=NOT_ANTIMAGIC, method=BY_NECESSARY_CONDITION)
-    if not is_admissible(g, D):
-        return ScanVerdict(status=NOT_ANTIMAGIC, method=BY_UNFIT_DISTANCE_SET)
-    labeling = closed_form_forest_labeling(spec, orientation, D)
-    if labeling is not None:
-        return ScanVerdict(status=ANTIMAGIC, method=BY_CONSTRUCTION, witness=labeling)
-    if len(g) > vertex_cap() and budget is None:
-        budget = DEFAULT_CELL_BUDGET
-    result = search_labeling(g, D, mode="first", budget=budget)
-    if result.status is SearchStatus.FOUND:
-        if not verify_labeling(g, result.witness, D).antimagic:
-            raise RuntimeError("search returned an invalid witness")
-        return ScanVerdict(
-            status=ANTIMAGIC,
-            method=BY_SEARCH,
-            witness=result.witness,
-            nodes_explored=result.nodes_explored,
-        )
-    if result.status is SearchStatus.EXHAUSTED:
-        return ScanVerdict(
-            status=NOT_ANTIMAGIC,
-            method=BY_SEARCH,
-            nodes_explored=result.nodes_explored,
-        )
-    return ScanVerdict(
-        status=ABORTED, method=BY_SEARCH, nodes_explored=result.nodes_explored
-    )
-
-
 def scan_orientations(
     spec: ForestSpec,
     distance_sets,
@@ -105,10 +65,17 @@ def scan_orientations(
     sets = [DistanceSet.of(D) for D in distance_sets]
     if not sets:
         raise ValueError("need at least one distance set")
+    sizes = spec.star_sizes()
     rows = []
     for orientation in enumerate_forest_orientations(spec):
         g = build_forest(spec, orientation)
-        verdicts = {D: _cell(spec, orientation, g, D, budget) for D in sets}
+        rule = forest_rule(sizes, orientation_sources(spec, orientation))
+        verdicts = {}
+        for D in sets:
+            verdict = decide(g, (D,), rule, budget)
+            verdicts[D] = ScanVerdict(
+                verdict.status, verdict.method, verdict.witness, verdict.nodes_explored
+            )
         rows.append(ScanRow(orientation=orientation, verdicts=verdicts))
     return rows
 

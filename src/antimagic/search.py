@@ -42,13 +42,17 @@ reproducible.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from enum import Enum
 from math import factorial
 from typing import NamedTuple
 
+# The vertex cap and its default budget live in ``graph`` so that a
+# decision reads them without loading this module; re-exported here.
 from .graph import (
+    DEFAULT_CELL_BUDGET,
+    DEFAULT_VERTEX_CAP,
+    ENV_VERTEX_CAP,
     UNFIT_DISTANCE_SET,
     DistanceSet,
     Labeling,
@@ -56,14 +60,8 @@ from .graph import (
     VertexCapError,
     d_neighborhood,
     is_admissible,
+    vertex_cap,
 )
-
-ENV_VERTEX_CAP = "ANTIMAGIC_NODE_CAP"
-DEFAULT_VERTEX_CAP = 10
-
-#: Node budget for a first-mode search on a graph above the vertex cap
-#: when the caller gives none (scan cells, ``construct --family forest``).
-DEFAULT_CELL_BUDGET = 200_000
 
 
 class SearchStatus(str, Enum):
@@ -90,17 +88,6 @@ class SearchResult(NamedTuple):
     symmetry_order: int = 1
     shortcut: str | None = None
     labelings: tuple[Labeling, ...] | None = None
-
-
-def vertex_cap() -> int:
-    """Vertex limit for exhaustive modes; ANTIMAGIC_NODE_CAP overrides it."""
-    raw = os.environ.get(ENV_VERTEX_CAP)
-    if raw is None:
-        return DEFAULT_VERTEX_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise VertexCapError(f"{ENV_VERTEX_CAP} must be an integer, got {raw!r}") from None
 
 
 class _Engine:
@@ -503,19 +490,3 @@ def search_joint_labeling(
     if not sets:
         raise ValueError("need at least one distance set")
     return _search(g, sets, mode, budget, prune, symmetry)
-
-
-def refute_antimagic(
-    g: OrientedGraph,
-    D,
-    budget: int | None = None,
-) -> SearchResult:
-    """Exhaustively confirm that no D-antimagic labeling of g exists.
-
-    Returns ``exhausted-none`` with the node count of the covered space,
-    or ``found`` with the counterexample labeling if the refutation
-    fails.  Capped by :func:`vertex_cap` since it must be exhaustive.
-    """
-    _check_cap(g, "refutation")
-    sets = (DistanceSet.of(D),)
-    return _search(g, sets, "first", budget, True, True)

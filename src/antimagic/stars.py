@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from functools import total_ordering
 from itertools import combinations_with_replacement, product
-from math import comb
 
 from .graph import GraphError, OrientedGraph
 
@@ -228,16 +227,31 @@ def build_star(shape: StarShape) -> OrientedGraph:
     return OrientedGraph(vertices, arcs)
 
 
-def _build_from_sizes(sizes: tuple[int, ...], ts: tuple[int, ...]) -> OrientedGraph:
+def forest_parts(
+    sizes: tuple[int, ...], ts: tuple[int, ...]
+) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+    """Vertices and arcs of a star forest, listed as its graph lists them.
+
+    Star k has ``sizes[k-1]`` leaves, the first ``ts[k-1]`` of them
+    sources.  The arcs come in vertex-index order, the order
+    :class:`OrientedGraph` sorts them into, so a graph document written
+    from these parts equals one written from the graph, and needs none
+    of the graph's all-pairs distances.
+    """
     vertices = []
     arcs = []
     for k, (n, t) in enumerate(zip(sizes, ts), start=1):
         center = center_vertex(k)
+        leaves = [leaf_vertex(i, k) for i in range(1, n + 1)]
         vertices.append(center)
-        vertices += [leaf_vertex(i, k) for i in range(1, n + 1)]
-        arcs += [(leaf_vertex(i, k), center) for i in range(1, t + 1)]
-        arcs += [(center, leaf_vertex(i, k)) for i in range(t + 1, n + 1)]
-    return OrientedGraph(vertices, arcs)
+        vertices += leaves
+        arcs += [(center, leaf) for leaf in leaves[t:]]
+        arcs += [(leaf, center) for leaf in leaves[:t]]
+    return tuple(vertices), tuple(arcs)
+
+
+def _build_from_sizes(sizes: tuple[int, ...], ts: tuple[int, ...]) -> OrientedGraph:
+    return OrientedGraph(*forest_parts(sizes, ts))
 
 
 def build_homogeneous_forest(m: int, shape: StarShape) -> OrientedGraph:
@@ -308,11 +322,6 @@ def build_forest_pi(spec: ForestSpec) -> OrientedGraph:
     return _build_from_sizes(sizes, tuple(n - 1 for n in sizes))
 
 
-def enumerate_star_orientations(n: int) -> list[StarShape]:
-    """All orientation classes of K_{1,n}: one per t in 0..n."""
-    return [StarShape(n=n, t=t) for t in range(n + 1)]
-
-
 def enumerate_forest_orientations(
     spec: ForestSpec,
 ) -> list[tuple[tuple[int, ...], ...]]:
@@ -328,12 +337,4 @@ def enumerate_forest_orientations(
         for group in spec.groups
     ]
     return [tuple(choice) for choice in product(*per_group)]
-
-
-def orientation_class_count(spec: ForestSpec) -> int:
-    """Closed-form count of forest orientation classes."""
-    total = 1
-    for group in spec.groups:
-        total *= comb(group.leaves + group.count, group.count)
-    return total
 

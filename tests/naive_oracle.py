@@ -9,7 +9,7 @@ the point is independence, not speed.
 """
 
 from itertools import permutations, product
-from math import factorial
+from math import comb, factorial
 
 
 def path_distance(arcs, u, v):
@@ -269,3 +269,15 @@ def orientation_classes_from_arcs(spec):
             offset += n
         classes.add(tuple(tuple(sorted(ts[a:b])) for a, b in group_slices))
     return classes
+
+
+def orientation_class_count(spec):
+    """Closed-form count of a forest's orientation classes.
+
+    Each group of m copies of K_{1,n} contributes the multisets of size
+    m over the n+1 values of t: comb(n + m, m) of them.
+    """
+    total = 1
+    for group in spec.groups:
+        total *= comb(group.leaves + group.count, group.count)
+    return total

@@ -134,12 +134,16 @@ def test_construct_pi_forest(capsys):
     assert verify_labeling(doc.graph(), doc.labeling, D01).antimagic
 
 
-def test_construct_pi_forest_rejects_zero_only_set(capsys):
-    code, _, err = run_cli(
+def test_construct_pi_forest_accepts_zero_only_set(capsys):
+    # Under {0} every labeling is antimagic; the sequential one is emitted.
+    code, out, _ = run_cli(
         ["construct", "--family", "forest-pi", "--spec", "2x2", "--d", "0"],
         capsys,
     )
-    assert code == 65
+    assert code == 0
+    doc = GraphDocument.from_json(out)
+    assert doc.labeling == Labeling.sequential(doc.graph())
+    assert doc.metadata["method"] == "construction"
 
 
 def test_construct_mstar_multi_set(capsys):
@@ -190,6 +194,156 @@ def test_construct_deduplicates_repeated_sets(capsys):
     )
     assert code == 0
     assert GraphDocument.from_json(out).metadata["distance_sets"] == ["{0,1}"]
+
+
+@pytest.mark.parametrize(
+    "argv, labeling_from",
+    [
+        # mstar t=1 under {0,1} has no closed form; forest 3x4@1 is the
+        # same graph and emits the same labeling
+        (["construct", "--family", "mstar", "--m", "3", "--n", "4", "--t", "1",
+          "--d", "0,1"],
+         ["construct", "--family", "forest", "--spec", "3x4@1", "--d", "0,1"]),
+        (["construct", "--family", "star", "--n", "1", "--t", "0", "--d", "1"], None),
+        (["construct", "--family", "star", "--n", "2", "--t", "1", "--d", "1"], None),
+        (["construct", "--family", "star", "--n", "2", "--t", "1", "--d", "1,2"], None),
+    ],
+    ids=["mstar-t1", "star-1-n1", "star-1-n2", "star-12-n2"],
+)
+def test_search_found_witnesses_say_search(argv, labeling_from, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    doc = GraphDocument.from_json(out)
+    assert doc.metadata["method"] == "search"
+    D = DistanceSet.parse(argv[-1])
+    assert verify_labeling(doc.graph(), doc.labeling, D).antimagic
+    if labeling_from is not None:
+        code, other, _ = run_cli(labeling_from, capsys)
+        assert code == 0
+        twin = GraphDocument.from_json(other)
+        assert twin.metadata["method"] == "search"
+        assert (twin.vertices, twin.arcs, twin.labeling) == (
+            doc.vertices, doc.arcs, doc.labeling
+        )
+
+
+# One graph, two copies of K_{1,3} with two source leaves each, through
+# every family that builds it.
+SAME_FOREST = {
+    "mstar": ["--m", "2", "--n", "3", "--t", "2"],
+    "forest": ["--spec", "2x3@2"],
+    "forest-pi": ["--spec", "2x3"],
+}
+
+
+def set_ids(sets):
+    return "-".join(D.replace(",", "") for D in sets)
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [["0"], ["1"], ["2"], ["1,2"], ["0,1"], ["0,2"], ["0,1,2"], ["0,1", "1"],
+     ["0", "0,1"]],
+    ids=set_ids,
+)
+def test_same_forest_gets_the_same_answer_from_every_family(sets, capsys):
+    d_args = [arg for D in sets for arg in ("--d", D)]
+    answers = {}
+    for family, params in SAME_FOREST.items():
+        code, out, _ = run_cli(
+            ["construct", "--family", family, *params, *d_args], capsys
+        )
+        payload = json.loads(out)
+        if code == 0:
+            payload = (payload["vertices"], payload["arcs"], payload["labeling"],
+                       payload["metadata"]["method"])
+        answers[family] = (code, payload)
+    assert answers["forest"] == answers["mstar"] == answers["forest-pi"]
+    code, payload = answers["forest"]
+    if "0" not in sets[-1].split(","):
+        assert code == 2
+        assert payload == {
+            "status": "not-antimagic",
+            "distance_set": "{" + sets[-1] + "}",
+            "reason": "MIN_D_POSITIVE",
+        }
+    else:
+        assert code == 0 and payload[3] == "construction"
+
+
+@pytest.mark.parametrize(
+    "family_args",
+    [
+        ["--family", "star", "--n", "3", "--t", "1"],
+        ["--family", "mstar", "--m", "2", "--n", "3", "--t", "1"],
+        ["--family", "forest", "--spec", "2x3@1"],
+        ["--family", "forest-pi", "--spec", "2x3"],
+    ],
+    ids=["star", "mstar", "forest", "forest-pi"],
+)
+@pytest.mark.parametrize("sets", [["0,3"], ["1", "0,3"], ["0,1", "1,2,3"]], ids=set_ids)
+def test_every_family_rejects_distances_past_two(family_args, sets, capsys):
+    d_args = [arg for D in sets for arg in ("--d", D)]
+    code, out, err = run_cli(["construct", *family_args, *d_args], capsys)
+    assert code == 65
+    assert out == ""
+    assert "never exceed 2" in err
+
+
+def test_mstar_searches_all_its_sets_at_once(capsys):
+    argv = ["construct", "--family", "mstar", "--m", "2", "--n", "3", "--t", "1"]
+    # A refusal of a later set wins over a budget abort on an earlier one.
+    code, out, _ = run_cli(argv + ["--d", "0,1", "--d", "1", "--budget", "2"], capsys)
+    assert code == 2
+    assert json.loads(out) == {
+        "status": "not-antimagic",
+        "distance_set": "{1}",
+        "reason": "MIN_D_POSITIVE",
+    }
+    # One joint search, whose refusal names every set.
+    code, out, _ = run_cli(
+        argv + ["--d", "0,1", "--d", "0,1,2", "--budget", "2"], capsys
+    )
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["status"] == "search-aborted"
+    assert payload["distance_sets"] == ["{0,1}", "{0,1,2}"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "star", "--n", "5", "--t", "2", "--d", "0,2"],
+        ["--family", "mstar", "--m", "3", "--n", "4", "--t", "2", "--d", "0,1"],
+        ["--family", "forest", "--spec", "2x3@1,1x4@3", "--d", "0"],
+        ["--family", "forest-pi", "--spec", "2x3,1x4", "--d", "0,1,2"],
+    ],
+    ids=["star", "mstar", "forest", "forest-pi"],
+)
+def test_closed_form_construct_builds_and_verifies_once(argv, capsys, monkeypatch):
+    import antimagic.cli as cli
+    import antimagic.constructions as constructions
+    import antimagic.graph as graph
+
+    calls = []
+    real_init = graph.OrientedGraph.__init__
+    real_verify = graph.verify_labeling
+
+    def counted_init(self, *args, **kwargs):
+        calls.append("build")
+        real_init(self, *args, **kwargs)
+
+    def counted_verify(*args, **kwargs):
+        calls.append("verify")
+        return real_verify(*args, **kwargs)
+
+    monkeypatch.setattr(graph.OrientedGraph, "__init__", counted_init)
+    for module in (cli, constructions):
+        monkeypatch.setattr(module, "verify_labeling", counted_verify)
+    code, out, _ = run_cli(["construct", *argv], capsys)
+    assert code == 0
+    assert json.loads(out)["metadata"]["method"] == "construction"
+    assert calls == ["build", "verify"]
 
 
 # -- verify -----------------------------------------------------------
@@ -483,9 +637,11 @@ def test_search_first_on_550_vertices_has_no_depth_limit(tmp_path, capsys):
     [
         ("antimagic.constructions._gate", None,
          ["construct", "--family", "star", "--n", "5", "--t", "2", "--d", "0,1"]),
-        ("antimagic.cli.verify_labeling", SimpleNamespace(antimagic=False),
-         ["construct", "--family", "mstar", "--m", "2", "--n", "3", "--t", "1",
-          "--d", "0,2", "--d", "0,1,2"]),
+        # No closed form applies to either set, so the joint search runs
+        # and its witness meets the gate.
+        ("antimagic.constructions.verify_labeling", SimpleNamespace(antimagic=False),
+         ["construct", "--family", "forest", "--spec", "1x2@0,1x3@1",
+          "--d", "0,1", "--d", "0,1,2"]),
     ],
     ids=["closed-form-gate", "joint-witness-gate"],
 )
@@ -611,9 +767,8 @@ def test_reference_scan_report_is_byte_stable(tmp_path, capsys, monkeypatch):
         digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
     assert len(files) == 434
     assert digest.hexdigest() == SCAN_REPORT_DIGEST
-    # One forest per row in the scan, one per row in the report writer,
-    # and one for each of the 3 cells a closed form answers.
-    assert len(builds) == 150 + 150 + 3
+    # One forest per row, in the scan; the report writer builds none.
+    assert len(builds) == 150
 
 
 def test_scan_rejects_oriented_specs(capsys):
@@ -662,8 +817,13 @@ def test_negative_budget_is_usage_error(argv, tmp_path, capsys):
         ["search", "GRAPH", "--d", "0,1", "--mode", "count"],
         ["construct", "--family", "forest", "--spec", "2x2@1", "--d", "0,1"],
         ["scan", "--spec", "2x2", "--d", "0,1"],
+        ["construct", "--family", "star", "--n", "3", "--t", "1", "--d", "0,1"],
+        ["construct", "--family", "mstar", "--m", "2", "--n", "3", "--t", "2",
+         "--d", "0,1"],
+        ["construct", "--family", "forest-pi", "--spec", "2x3", "--d", "0,1"],
     ],
-    ids=["search", "construct", "scan"],
+    ids=["search", "construct", "scan", "construct-star", "construct-mstar",
+         "construct-forest-pi"],
 )
 def test_malformed_vertex_cap_is_usage_error(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ANTIMAGIC_NODE_CAP", "abc")

@@ -18,7 +18,6 @@ from antimagic import (
     build_star,
     enumerate_forest_orientations,
     is_admissible,
-    refute_antimagic,
     search_joint_labeling,
     search_labeling,
     vertex_cap,
@@ -150,7 +149,7 @@ def test_unfit_distance_set_shortcuts_to_exhausted():
 
 def test_refute_confirms_no_distance_two_labeling():
     g = build_star(StarShape(n=3, t=1))
-    result = refute_antimagic(g, {2})
+    result = search_labeling(g, {2}, mode="first")
     assert result.status is SearchStatus.EXHAUSTED
     assert result.witness is None
     assert result.nodes_explored > 0
@@ -159,7 +158,7 @@ def test_refute_confirms_no_distance_two_labeling():
 
 def test_refute_fails_with_a_counterexample_when_labelings_exist():
     g = build_star(StarShape(n=2, t=1))
-    result = refute_antimagic(g, {0, 1})
+    result = search_labeling(g, {0, 1}, mode="first")
     assert result.status is SearchStatus.FOUND
     assert verify_labeling(g, result.witness, {0, 1}).antimagic
 
@@ -188,7 +187,7 @@ def test_negative_budget_is_rejected():
     with pytest.raises(ValueError, match="budget"):
         search_joint_labeling(g, ((0, 1), (1, 2)), mode="count", budget=-1)
     with pytest.raises(ValueError, match="budget"):
-        refute_antimagic(g, {2}, budget=-3)
+        search_labeling(g, {2}, mode="first", budget=-3)
     # zero is a valid budget: the root alone, then an abort
     zero = search_labeling(g, {0, 1}, budget=0)
     assert zero.status is SearchStatus.ABORTED
@@ -265,10 +264,8 @@ def test_exhaustive_node_totals_do_not_depend_on_value_order(
     # Exact node totals of the exhaustive modes: every unpruned child is
     # visited whatever order siblings are tried in, so the totals pin the
     # canonical tree itself.  count x symmetry_order is the unreduced count.
-    if mode == "refute":
-        result = refute_antimagic(g, D)
-    else:
-        result = search_labeling(g, D, mode=mode)
+    # A refutation is an exhausted first-mode search.
+    result = search_labeling(g, D, mode="first" if mode == "refute" else mode)
     assert result.nodes_explored == nodes
     assert (result.count or 0) * result.symmetry_order == unreduced
 
@@ -405,8 +402,6 @@ def test_exhaustive_modes_respect_the_vertex_cap(monkeypatch):
     g = build_star(StarShape(n=10, t=5))  # 11 vertices, cap is 10
     with pytest.raises(ValueError, match="capped"):
         search_labeling(g, {0, 1}, mode="count")
-    with pytest.raises(ValueError, match="capped"):
-        refute_antimagic(g, {2})
     # first mode stays available beyond the cap
     assert search_labeling(g, {0, 1}).status is SearchStatus.FOUND
     monkeypatch.setenv("ANTIMAGIC_NODE_CAP", "12")

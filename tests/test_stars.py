@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from antimagic import (
     ForestSpec,
     GraphError,
+    OrientedGraph,
     StarGroup,
     StarShape,
     build_forest,
@@ -13,11 +14,10 @@ from antimagic import (
     build_star,
     center_vertex,
     enumerate_forest_orientations,
-    enumerate_star_orientations,
     leaf_vertex,
-    orientation_class_count,
 )
-from naive_oracle import orientation_classes_from_arcs
+from antimagic.stars import forest_parts
+from naive_oracle import orientation_class_count, orientation_classes_from_arcs
 
 
 def test_star_shape_bounds():
@@ -158,9 +158,19 @@ def test_build_forest_pi_requires_marked_spec():
         build_forest_pi(ForestSpec.parse("2x3"))
 
 
+def test_forest_parts_list_what_the_graph_lists():
+    # A document written from the parts must equal one written from the
+    # graph, so the arcs must already be in the graph's sorted order.
+    for sizes, ts in [((3, 3), (1, 2)), ((1, 2, 4), (0, 2, 1)), ((2, 2), (0, 2))]:
+        vertices, arcs = forest_parts(sizes, ts)
+        g = OrientedGraph(vertices, arcs)
+        assert (g.vertices, g.arcs) == (vertices, arcs)
+
+
 def test_enumerate_star_orientations():
-    shapes = enumerate_star_orientations(3)
-    assert shapes == [StarShape(3, 0), StarShape(3, 1), StarShape(3, 2), StarShape(3, 3)]
+    # A single star has one orientation class per t in 0..n.
+    classes = enumerate_forest_orientations(ForestSpec.parse("1x3"))
+    assert classes == [((0,),), ((1,),), ((2,),), ((3,),)]
 
 
 def test_enumerate_forest_orientations_two_identical_stars():

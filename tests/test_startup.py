@@ -77,9 +77,12 @@ def star_doc(tmp_path_factory):
           "--format", "dot"], {"cli", "graph", "io", "constructions", "stars"}),
         (["construct", "--family", "forest-pi", "--spec", "1x2,1x3", "--d", "0,1"],
          {"cli", "graph", "io", "constructions", "stars"}),
+        (["construct", "--family", "forest", "--spec", "2x3@2", "--d", "0,1"],
+         {"cli", "graph", "io", "constructions", "stars"}),
         (["search", "DOC", "--d", "0,1"], {"cli", "graph", "io", "search"}),
     ],
-    ids=["verify", "mstar-closed-form", "star-closed-form", "forest-pi", "search"],
+    ids=["verify", "mstar-closed-form", "star-closed-form", "forest-pi",
+         "forest-closed-form", "search"],
 )
 def test_subcommand_loads_only_what_it_runs(argv, expected, star_doc):
     argv = [str(star_doc) if arg == "DOC" else arg for arg in argv]
@@ -124,7 +127,7 @@ def test_importing_the_package_loads_no_submodule(tmp_path):
 
 def test_every_export_is_its_home_modules_object():
     names = [name for name in antimagic.__all__ if name != "__version__"]
-    assert len(names) == len(set(names)) == 47
+    assert len(names) == len(set(names)) == 44
     for module, exported in antimagic._EXPORTS.items():
         home = importlib.import_module(f"antimagic.{module}")
         for name in exported:
@@ -154,6 +157,14 @@ def test_exit_code_exceptions_keep_one_identity():
     assert antimagic.UnsupportedDistanceSetError is graph.UnsupportedDistanceSetError
     assert search.UNFIT_DISTANCE_SET is graph.UNFIT_DISTANCE_SET
     assert issubclass(graph.VertexCapError, ValueError)
+
+
+def test_the_vertex_cap_lives_in_graph_and_search_re_exports_it():
+    # A decision reads the cap without loading the search.
+    for name in ("vertex_cap", "ENV_VERTEX_CAP", "DEFAULT_VERTEX_CAP",
+                 "DEFAULT_CELL_BUDGET"):
+        assert getattr(search, name) is getattr(graph, name), name
+    assert antimagic.vertex_cap is graph.vertex_cap
     assert issubclass(graph.UnsupportedDistanceSetError, ValueError)
 
 
