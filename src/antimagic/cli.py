@@ -318,7 +318,7 @@ def _cmd_construct(args) -> int:
             "method": verdict.method,
         }
         doc = GraphDocument.from_graph(g, verdict.witness, metadata)
-        sys.stdout.write(doc.to_dot(sets) if args.format == "dot" else doc.to_json())
+        sys.stdout.write(doc.to_dot(sets, g=g) if args.format == "dot" else doc.to_json())
         return EXIT_OK
     if verdict.search is None:
         _print_json(

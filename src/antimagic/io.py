@@ -91,16 +91,21 @@ class GraphDocument(NamedTuple):
             metadata=metadata,
         )
 
-    def to_dot(self, distance_sets=(), name: str = "g") -> str:
+    def to_dot(
+        self, distance_sets=(), name: str = "g", g: OrientedGraph | None = None
+    ) -> str:
         """DOT text with ``label="<label> [w]..."`` vertex annotations.
 
         One bracketed weight is appended per distance set, in the given
         order; the header comment records which bracket belongs to
         which set (and its conventional color).  Weights need the
         document's labeling; without one, plain vertices are emitted.
+        ``g`` is the document's graph when the caller already holds it;
+        otherwise it is built here.
         """
         sets = [DistanceSet.of(D) for D in distance_sets]
-        g = self.graph()
+        if g is None:
+            g = self.graph()
         lines = [f"digraph {_quote(name)} {{"]
         if sets and self.labeling is not None:
             legend = ", ".join(

@@ -5,11 +5,23 @@ on vertices in decreasing D-degree order (largest D-neighborhood first)
 and trying labels in descending order, |V| down to 1, which makes every
 result deterministic.  Large labels first make large, spread-out
 weights, so ``first`` mode rarely backtracks.  Free labels sit in a
-doubly linked list, so stepping to the next one costs O(1).  With
-pruning on, a partial assignment is cut as soon as two
-fully-determined weights collide, or as soon as an unused label equals
-a final weight while every unassigned vertex weighs its own label
-(counted incrementally, checked only at the depths where that holds).
+doubly linked list, so stepping to the next one costs O(1).
+
+The order is fixed before the search starts, and with it the depth at
+which each weight becomes final: the member of a D-neighborhood placed
+last closes that weight, and every other member only adds its label to
+a partial sum.  This close schedule is computed once per search, and
+only closing a weight touches the table of final weights.  At the last
+depth a single free label is left; it is tested in place (against the
+chain predecessor, the budget, and the weights it closes, both against
+the final ones and against each other), then counted or recorded
+without being placed.
+
+With pruning on, a partial assignment is cut as soon as two final
+weights collide, or as soon as an unused label equals a final weight
+while every unassigned vertex weighs its own label.  Those dead labels
+are counted only at the depths where that holds: recounted on arrival
+at the first of them, then kept incrementally.
 
 With symmetry reduction on, the count is over canonical
 representatives of a group that acts freely on bijections, so count
@@ -27,7 +39,9 @@ Both rules link a vertex to its predecessor in a chain.  A vertex with
 r chain successors still to place leaves r free labels below its own,
 so it only tries labels above the r-th smallest free label (the
 twin-room bound); that cuts only subtrees without a canonical
-labeling.
+labeling.  The bound and the last-depth step both need every chain
+predecessor placed before its successor; the engine checks that the
+order does so and raises RuntimeError (an internal error) if not.
 
 The DFS is one loop over an explicit stack, not recursion, so its depth
 (one level per vertex) is bounded only by memory.
@@ -112,13 +126,6 @@ class _Engine:
                 tuple(sorted(map(index.__getitem__, d_neighborhood(g, v, D))))
                 for v in verts
             ])
-        self.watchers: list[list[list[int]]] = []
-        for nbs in self.nbs:
-            watch: list[list[int]] = [[] for _ in range(self.n)]
-            for v, nb in enumerate(nbs):
-                for u in nb:
-                    watch[u].append(v)
-            self.watchers.append(watch)
         degree = [sum(map(len, column)) for column in zip(*self.nbs)]
         # Largest D-neighborhoods first; the sort is stable, so ties
         # keep index order.
@@ -234,15 +241,29 @@ class _Engine:
         The DFS keeps an explicit stack: ``order[depth]`` is the vertex
         placed at each depth.  Labels go from high to low along a doubly
         linked list of free labels, and a vertex with an orbit
-        predecessor takes a label below the predecessor's.
+        predecessor takes a label below the predecessor's.  Raises
+        RuntimeError if ``order`` places a vertex before its orbit
+        predecessor.
         """
-        n, k, order, prune = self.n, self.k, self.order, self.prune
+        n, order, prune = self.n, self.order, self.prune
         orbit_prev = self.orbit_prev
-        # room[v]: chain successors of v, each needing a free label below v's.
+        last = n - 1
+        pos = [0] * n
+        for depth, v in enumerate(order):
+            pos[v] = depth
+        # room[v]: chain successors of v, each needing a free label below
+        # v's.  Both the twin-room floor and the last-depth step assume a
+        # chain predecessor is placed before its successor.
         room = [0] * n
-        for v in range(n - 1, -1, -1):
-            if orbit_prev[v] >= 0:
-                room[orbit_prev[v]] = room[v] + 1
+        for v in range(last, -1, -1):
+            prev = orbit_prev[v]
+            if prev >= 0:
+                if pos[prev] > pos[v]:
+                    raise RuntimeError(
+                        f"search order places {self.verts[v]!r} before its "
+                        f"chain predecessor {self.verts[prev]!r}"
+                    )
+                room[prev] = room[v] + 1
         label_of = [0] * n
         used = [False] * (n + 1)
         # Free labels, linked both ways: down[l] is the next smaller free
@@ -251,38 +272,64 @@ class _Engine:
         # label keeps pointers that still lead down to the free list.
         down = list(range(-1, n + 1))
         up = list(range(1, n + 3))
-        partial = [[0] * n for _ in range(k)]
-        remaining = [[len(nb) for nb in self.nbs[d]] for d in range(k)]
-        finals: list[dict[int, int]] = [{} for _ in range(k)]
-        conflicts = 0
-        for d in range(k):
-            empty = remaining[d].count(0)
-            if empty:
-                finals[d][0] = empty
-                conflicts += empty - 1
+        finals: list[dict[int, int]] = [{} for _ in self.nbs]
         # Dead-label prune: once every vertex after ``depth`` in the order
         # is its own whole D-neighborhood (weight = label), an unused
         # label equal to a final weight is doomed.  dead[d] counts such
-        # labels, and checks[depth] lists the sets where that holds.
-        checks: list[tuple[int, ...]] = [()] * n
-        tracked = []
+        # labels; it is recounted on arrival at the first such depth and
+        # kept up to date below it, where tracked[depth] lists the sets
+        # (d, finals[d]) to update and check.
+        dead = [0] * self.k
+        first_check = [n] * self.k
+        tracked: list[tuple[tuple[int, dict], ...]] = [()] * n
+        recount: list[tuple[tuple[int, dict], ...]] = [()] * n
         if prune:
             for d, self_only in enumerate(self.self_only):
-                last = n - 1
-                while last >= 0 and self_only[order[last]]:
-                    last -= 1
-                if last < n - 1:
-                    tracked.append(d)
-                    for depth in range(max(last, 0), n - 1):
-                        checks[depth] += (d,)
-        dead = [0] * k
-        effects = [
-            [(self.watchers[d][v], partial[d], remaining[d], finals[d],
-              d if d in tracked else -1)
-             for d in range(k)]
-            for v in range(n)
-        ]
-        tracked_finals = [(d, finals[d]) for d in tracked]
+                depth = last
+                while depth >= 0 and self_only[order[depth]]:
+                    depth -= 1
+                if depth < last:
+                    first_check[d] = depth = max(depth, 0)
+                    recount[depth] += ((d, finals[d]),)
+                    for depth in range(depth, last):
+                        tracked[depth] += ((d, finals[d]),)
+        # Close schedule: a weight is final once the member of its
+        # D-neighborhood placed last has its label.  That vertex closes
+        # the flat slot d * n + w (weight of w under set d); every other
+        # member only adds its label to partial[slot].
+        partial = [0] * (self.k * n)
+        adds: list[list[int]] = [[] for _ in range(n)]
+        closes: list[list[tuple]] = [[] for _ in range(n)]
+        conflicts = 0
+        slot = 0
+        depth_of = pos.__getitem__
+        for d, nbs in enumerate(self.nbs):
+            fin = finals[d]
+            first = first_check[d]
+            for nb in nbs:
+                if not nb:
+                    # An empty neighborhood weighs 0 from the start.
+                    conflicts += 0 in fin
+                    fin[0] = fin.get(0, 0) + 1
+                    slot += 1
+                    continue
+                if len(nb) == 1:
+                    closer = nb[0]
+                else:
+                    closer = max(nb, key=depth_of)
+                    for u in nb:
+                        if u != closer:
+                            adds[u].append(slot)
+                closes[closer].append((slot, fin, d if pos[closer] >= first else -1))
+                slot += 1
+        # The last vertex closes every slot it is in; group them by set to
+        # test its one free label against finals and against each other.
+        last_closes = []
+        for fin in finals:
+            slots = [s for s, f, _ in closes[order[last]] if f is fin]
+            if slots:
+                last_closes.append((slots, fin))
+        verts = self.verts
         self.count = 0
         self.witness: dict | None = None
         self.labelings: list[dict] = []
@@ -293,24 +340,57 @@ class _Engine:
         depth = 0
         while True:
             v = order[depth]
+            if depth == last:
+                # One free label is left: test it in place, placing nothing.
+                label = down[n + 1]
+                prev = orbit_prev[v]
+                if prev < 0 or label < label_of[prev]:
+                    if nodes == limit:
+                        aborted = True
+                        break
+                    nodes += 1
+                    complete = not conflicts
+                    for slots, fin in last_closes:
+                        if not complete:
+                            break
+                        weights = set()
+                        for s in slots:
+                            weight = partial[s] + label
+                            if weight in fin or weight in weights:
+                                complete = False
+                                break
+                            weights.add(weight)
+                    if complete:
+                        self.count += 1
+                        if self.witness is None or mode == "all":
+                            snapshot = {verts[u]: label_of[u] for u in range(n)}
+                            snapshot[verts[v]] = label
+                            if self.witness is None:
+                                self.witness = snapshot
+                            if mode == "all":
+                                self.labelings.append(snapshot)
+                        if mode == "first":
+                            break
+                if not depth:
+                    break
+                depth -= 1
+                continue
             label = label_of[v]
             if label:
                 # Back at this depth: undo the assignment tried last.
-                for watch, part, left, fin, track in effects[v]:
-                    for w in watch:
-                        weight = part[w]
-                        if not left[w]:
-                            seen = fin[weight]
-                            if seen > 1:
-                                fin[weight] = seen - 1
-                                conflicts -= 1
-                            else:
-                                del fin[weight]
-                                if track >= 0 and weight <= n and not used[weight]:
-                                    dead[track] -= 1
-                        left[w] += 1
-                        part[w] = weight - label
-                for d, fin in tracked_finals:
+                for s in adds[v]:
+                    partial[s] -= label
+                for s, fin, track in closes[v]:
+                    weight = partial[s] + label
+                    seen = fin[weight]
+                    if seen > 1:
+                        fin[weight] = seen - 1
+                        conflicts -= 1
+                    else:
+                        del fin[weight]
+                        if track >= 0 and weight <= n and not used[weight]:
+                            dead[track] -= 1
+                for d, fin in tracked[depth]:
                     if label in fin:
                         dead[d] += 1
                 used[label] = False
@@ -319,8 +399,17 @@ class _Engine:
                 label_of[v] = 0
                 label = down[label]
             else:
-                # Arrived at this depth: start below the chain
-                # predecessor's label, and stay above the twin-room floor.
+                # Arrived at this depth: recount the dead labels of the sets
+                # checked from here on, start below the chain predecessor's
+                # label, and stay above the twin-room floor.
+                for d, fin in recount[depth]:
+                    count = 0
+                    free = down[n + 1]
+                    while free:
+                        if free in fin:
+                            count += 1
+                        free = down[free]
+                    dead[d] = count
                 prev = orbit_prev[v]
                 if prev >= 0:
                     label = down[label_of[prev]]
@@ -347,39 +436,27 @@ class _Engine:
             used[label] = True
             up[down[label]] = up[label]
             down[up[label]] = down[label]
-            for d, fin in tracked_finals:
+            for d, fin in tracked[depth]:
                 if label in fin:
                     dead[d] -= 1
-            for watch, part, left, fin, track in effects[v]:
-                for w in watch:
-                    weight = part[w] + label
-                    part[w] = weight
-                    left[w] -= 1
-                    if not left[w]:
-                        if weight in fin:
-                            fin[weight] += 1
-                            conflicts += 1
-                        else:
-                            fin[weight] = 1
-                            if track >= 0 and weight <= n and not used[weight]:
-                                dead[track] += 1
-            if prune and (conflicts or checks[depth] and any(
-                    dead[d] for d in checks[depth])):
+            for s in adds[v]:
+                partial[s] += label
+            for s, fin, track in closes[v]:
+                weight = partial[s] + label
+                if weight in fin:
+                    fin[weight] += 1
+                    conflicts += 1
+                else:
+                    fin[weight] = 1
+                    if track >= 0 and weight <= n and not used[weight]:
+                        dead[track] += 1
+            if prune and conflicts:
                 continue
-            if depth + 1 < n:
+            for d, _ in tracked[depth]:
+                if dead[d]:
+                    break
+            else:
                 depth += 1
-                continue
-            if conflicts:  # a complete labeling, reachable unpruned
-                continue
-            self.count += 1
-            if self.witness is None or mode == "all":
-                snapshot = {self.verts[u]: label_of[u] for u in range(n)}
-                if self.witness is None:
-                    self.witness = snapshot
-                if mode == "all":
-                    self.labelings.append(snapshot)
-            if mode == "first":
-                break
         self.nodes = nodes
         return aborted
 

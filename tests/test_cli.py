@@ -346,6 +346,35 @@ def test_closed_form_construct_builds_and_verifies_once(argv, capsys, monkeypatc
     assert calls == ["build", "verify"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "star", "--n", "5", "--t", "2", "--d", "0,2"],
+        ["--family", "mstar", "--m", "3", "--n", "4", "--t", "1", "--d", "0,1"],
+        ["--family", "forest", "--spec", "2x3@1,1x4@3", "--d", "0", "--d", "0,1"],
+        ["--family", "forest-pi", "--spec", "2x3,1x4", "--d", "0,1,2"],
+    ],
+    ids=["star", "mstar-search", "forest", "forest-pi"],
+)
+def test_dot_construct_builds_its_graph_once(argv, capsys, monkeypatch):
+    import antimagic.graph as graph
+
+    builds = []
+    real_init = graph.OrientedGraph.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(None)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(graph.OrientedGraph, "__init__", counted)
+    code, out, _ = run_cli(["construct", *argv, "--format", "dot"], capsys)
+    assert code == 0
+    assert out.startswith("digraph") and " [" in out
+    # The DOT writer takes the weight brackets from the graph the
+    # construct already built.
+    assert len(builds) == 1
+
+
 # -- verify -----------------------------------------------------------
 
 def test_verify_embedded_labeling(tmp_path, capsys):
@@ -673,6 +702,26 @@ def test_search_witness_failing_its_gate_is_an_internal_error(
         assert out == ""
         assert err.count("\n") == 1
         assert "invalid witness" in err
+
+
+def test_search_order_breaking_a_chain_is_an_internal_error(
+    tmp_path, capsys, monkeypatch
+):
+    import antimagic.search as search
+
+    real_init = search._Engine.__init__
+
+    def reversed_order(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        self.order.reverse()
+
+    monkeypatch.setattr(search._Engine, "__init__", reversed_order)
+    path, _ = write_star_doc(tmp_path, 4, 2)
+    code, out, err = run_cli(["search", str(path), "--d", "0,1"], capsys)
+    assert code == 70
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "chain predecessor" in err
 
 
 @pytest.mark.parametrize(

@@ -180,6 +180,28 @@ def test_budget_large_enough_is_invisible():
     assert capped == free
 
 
+@pytest.mark.parametrize(
+    "n, t, D, mode",
+    [(5, 2, (0, 1), "count"), (5, 3, (0, 1), "first"), (4, 3, (1, 2), "first")],
+    ids=["count", "first-found", "first-refute"],
+)
+def test_every_budget_aborts_at_its_node_or_matches_the_free_run(n, t, D, mode):
+    # The last depth tests its one free label without placing it, so it
+    # repeats the budget test: budget b aborts on node b + 1 (the root
+    # included) and never changes a result it leaves room for.
+    g = build_star(StarShape(n=n, t=t))
+    free = search_labeling(g, D, mode=mode)
+    total = free.nodes_explored
+    assert total > n + 1  # the instance backtracks
+    for b in range(total + 2):
+        capped = search_labeling(g, D, mode=mode, budget=b)
+        if b < total - 1:
+            assert capped.status is SearchStatus.ABORTED, b
+            assert capped.nodes_explored == b + 1, b
+        else:
+            assert capped == free, b
+
+
 def test_negative_budget_is_rejected():
     g = build_star(StarShape(n=2, t=1))
     with pytest.raises(ValueError, match="budget"):
@@ -255,8 +277,16 @@ def test_pruned_and_unpruned_counts_match_the_oracle(g, distance_sets):
         (build_forest(ForestSpec.parse("1x3@1,1x3@1")), (0, 1), "all", 8_314,
          2_652 * 4),
         (build_star(StarShape(n=9, t=4)), (1,), "refute", 11, 0),
+        (build_forest(ForestSpec.parse("1x4@2,1x4@2")), (0, 1), "count",
+         109_166, 13_379 * 32),
+        (build_forest(ForestSpec.parse("1x4@1,1x4@1")), (0, 2), "count",
+         118_495, 23_704 * 144),
+        (build_forest(ForestSpec.parse("1x4@2,1x4@2")), ((0, 1), (0, 2)),
+         "count", 108_490, 7_779 * 32),
     ],
-    ids=["star9@3-count", "1x3@1,1x3@1-all", "star9@4-refute"],
+    ids=["star9@3-count", "1x3@1,1x3@1-all", "star9@4-refute",
+         "1x4@2,1x4@2-01-count", "1x4@1,1x4@1-02-count",
+         "1x4@2,1x4@2-01+02-count"],
 )
 def test_exhaustive_node_totals_do_not_depend_on_value_order(
     g, D, mode, nodes, unreduced
@@ -264,10 +294,27 @@ def test_exhaustive_node_totals_do_not_depend_on_value_order(
     # Exact node totals of the exhaustive modes: every unpruned child is
     # visited whatever order siblings are tried in, so the totals pin the
     # canonical tree itself.  count x symmetry_order is the unreduced count.
-    # A refutation is an exhausted first-mode search.
-    result = search_labeling(g, D, mode="first" if mode == "refute" else mode)
+    # A refutation is an exhausted first-mode search; a tuple of sets is
+    # a joint search.
+    sets = D if isinstance(D[0], tuple) else (D,)
+    result = search_joint_labeling(
+        g, sets, mode="first" if mode == "refute" else mode
+    )
     assert result.nodes_explored == nodes
     assert (result.count or 0) * result.symmetry_order == unreduced
+
+
+#: SHA-256 of the 1,326 ``all``-mode labelings of ``1x3@1,1x3@1`` under
+#: {0,1}, in the order the search returns them (JSON, keys sorted).
+ALL_ORDER_DIGEST = "26b045f34e77351f19371f77db9f18a08817cc14c11d79c881fbc26b0b522192"
+
+
+def test_all_mode_returns_the_same_labelings_in_the_same_order():
+    g = build_forest(ForestSpec.parse("1x3@1,1x3@1"))
+    result = search_labeling(g, (0, 1), mode="all")
+    assert len(result.labelings) == result.count == 1_326
+    text = json.dumps([dict(m) for m in result.labelings], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == ALL_ORDER_DIGEST
 
 
 def test_first_mode_runs_on_two_thousand_vertices():
@@ -279,6 +326,36 @@ def test_first_mode_runs_on_two_thousand_vertices():
     assert result.status is SearchStatus.FOUND
     assert result.nodes_explored == 2001
     assert verify_labeling(g, result.witness, {0, 1}).antimagic
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    oriented_graphs(),
+    st.lists(
+        st.sets(st.integers(0, 3), min_size=1).map(sorted), min_size=1, max_size=2
+    ),
+)
+def test_the_order_places_every_chain_predecessor_first(g, distance_sets):
+    engine = _Engine(
+        g, tuple(DistanceSet.of(D) for D in distance_sets), True, True
+    )
+    depth = {v: i for i, v in enumerate(engine.order)}
+    for v, prev in enumerate(engine.orbit_prev):
+        if prev >= 0:
+            assert depth[prev] < depth[v]
+    engine.run("count", 0)  # the guard passes; the budget stops at once
+
+
+def test_an_order_breaking_a_chain_is_an_internal_error():
+    # The two source leaves and the two sink leaves form two twin
+    # chains; the reversed order places each successor first.
+    engine = _Engine(
+        build_star(StarShape(n=4, t=2)), (DistanceSet.of((0, 1)),), True, True
+    )
+    assert engine.symmetry_order == 4
+    engine.order.reverse()
+    with pytest.raises(RuntimeError, match="chain predecessor"):
+        engine.run("count", None)
 
 
 @settings(max_examples=150, deadline=None)
