@@ -25,7 +25,6 @@ _EXPORTS = {
         "UnsupportedDistanceSetError",
         "WeightReport",
         "d_neighborhood",
-        "finite_diameter",
         "is_admissible",
         "verify_labeling",
         "vertex_cap",
@@ -53,8 +52,6 @@ _EXPORTS = {
         "closed_form_forest_labeling",
         "construct_homogeneous_forest_labeling",
         "construct_pi_forest_labeling",
-        "construct_star_labeling",
-        "star_forest_necessary_condition",
     ),
     "search": (
         "SearchResult",

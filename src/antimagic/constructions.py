@@ -151,16 +151,6 @@ class Verdict(NamedTuple):
 Rule = Callable[[DistanceSet], Reason | dict | None]
 
 
-def star_forest_necessary_condition(D) -> bool:
-    """A star forest can only be D-antimagic when 0 lies in D.
-
-    Every oriented star contains a sink, so a forest has at least two
-    vertices of empty positive-distance neighborhood; without distance
-    0 those weights tie at zero.
-    """
-    return DistanceSet.of(D).smallest == 0
-
-
 def _require_star_domain(D: DistanceSet) -> None:
     if D.largest > 2:
         raise UnsupportedDistanceSetError(
@@ -305,15 +295,6 @@ def star_rule(n: int, t: int) -> Rule:
         return None
 
     return rule
-
-
-def construct_star_labeling(n: int, t: int, D) -> Labeling | None:
-    """A D-antimagic labeling of the oriented star, or None if none exists.
-
-    Closed forms cover D={0}, {0,1}, {0,2} and {0,1,2}; the small
-    positive cases of D={1} and {1,2} come from the exhaustive oracle.
-    """
-    return characterize_star(n, t, D).witness
 
 
 def characterize_star(n: int, t: int, D) -> Decision:
@@ -548,7 +529,10 @@ def closed_form_forest_labeling(
     """
     D = DistanceSet.of(D)
     _require_star_domain(D)
-    if not star_forest_necessary_condition(D):
+    # Every oriented star contains a sink, so a forest has at least two
+    # vertices of empty positive-distance neighborhood; without distance
+    # 0 those weights tie at zero.
+    if D.smallest != 0:
         return None
     # Checks the orientation as build_forest would; the graph itself is
     # built only once a closed form applies.

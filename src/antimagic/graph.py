@@ -339,14 +339,6 @@ def verify_labeling(g: OrientedGraph, labeling: Labeling, D) -> WeightReport:
     return WeightReport(weights=weights, collisions=tuple(pairs))
 
 
-def finite_diameter(g: OrientedGraph) -> int:
-    """Largest finite directed distance; 0 for an arcless graph."""
-    return max(
-        (d for row in g._dist.values() for d in row.values()),
-        default=0,
-    )
-
-
 #: Refusal reason for a distance set that :func:`is_admissible` rejects.
 UNFIT_DISTANCE_SET = "distance-set-exceeds-diameter"
 

@@ -19,9 +19,11 @@ without being placed.
 
 With pruning on, a partial assignment is cut as soon as two final
 weights collide, or as soon as an unused label equals a final weight
-while every unassigned vertex weighs its own label.  Those dead labels
-are counted only at the depths where that holds: recounted on arrival
-at the first of them, then kept incrementally.
+while every unassigned vertex weighs its own label.  Such a dead label
+is looked for by one walk of the free list at the first depth where
+that holds; the search only goes deeper when the walk finds none, so
+below that depth a dead label can only be a weight just closed, and it
+is checked where the weight is closed.  Nothing needs undoing.
 
 With symmetry reduction on, the count is over canonical
 representatives of a group that acts freely on bijections, so count
@@ -275,14 +277,13 @@ class _Engine:
         finals: list[dict[int, int]] = [{} for _ in self.nbs]
         # Dead-label prune: once every vertex after ``depth`` in the order
         # is its own whole D-neighborhood (weight = label), an unused
-        # label equal to a final weight is doomed.  dead[d] counts such
-        # labels; it is recounted on arrival at the first such depth and
-        # kept up to date below it, where tracked[depth] lists the sets
-        # (d, finals[d]) to update and check.
-        dead = [0] * self.k
+        # label equal to a final weight is doomed.  After placing at the
+        # first such depth, the free list is walked against each of the
+        # finals in sweep[depth].  The search only goes deeper when no
+        # label is dead, so further down a dead label can only be a weight
+        # just closed, and the close loop checks those.
         first_check = [n] * self.k
-        tracked: list[tuple[tuple[int, dict], ...]] = [()] * n
-        recount: list[tuple[tuple[int, dict], ...]] = [()] * n
+        sweep: list[tuple[dict, ...]] = [()] * n
         if prune:
             for d, self_only in enumerate(self.self_only):
                 depth = last
@@ -290,13 +291,13 @@ class _Engine:
                     depth -= 1
                 if depth < last:
                     first_check[d] = depth = max(depth, 0)
-                    recount[depth] += ((d, finals[d]),)
-                    for depth in range(depth, last):
-                        tracked[depth] += ((d, finals[d]),)
+                    sweep[depth] += (finals[d],)
         # Close schedule: a weight is final once the member of its
         # D-neighborhood placed last has its label.  That vertex closes
         # the flat slot d * n + w (weight of w under set d); every other
-        # member only adds its label to partial[slot].
+        # member only adds its label to partial[slot].  A close flagged
+        # True lies past the set's first check depth, where the weight
+        # it closes must not be a free label.
         partial = [0] * (self.k * n)
         adds: list[list[int]] = [[] for _ in range(n)]
         closes: list[list[tuple]] = [[] for _ in range(n)]
@@ -320,7 +321,7 @@ class _Engine:
                     for u in nb:
                         if u != closer:
                             adds[u].append(slot)
-                closes[closer].append((slot, fin, d if pos[closer] >= first else -1))
+                closes[closer].append((slot, fin, pos[closer] > first))
                 slot += 1
         # The last vertex closes every slot it is in; group them by set to
         # test its one free label against finals and against each other.
@@ -380,7 +381,7 @@ class _Engine:
                 # Back at this depth: undo the assignment tried last.
                 for s in adds[v]:
                     partial[s] -= label
-                for s, fin, track in closes[v]:
+                for s, fin, _ in closes[v]:
                     weight = partial[s] + label
                     seen = fin[weight]
                     if seen > 1:
@@ -388,28 +389,14 @@ class _Engine:
                         conflicts -= 1
                     else:
                         del fin[weight]
-                        if track >= 0 and weight <= n and not used[weight]:
-                            dead[track] -= 1
-                for d, fin in tracked[depth]:
-                    if label in fin:
-                        dead[d] += 1
                 used[label] = False
                 up[down[label]] = label
                 down[up[label]] = label
                 label_of[v] = 0
                 label = down[label]
             else:
-                # Arrived at this depth: recount the dead labels of the sets
-                # checked from here on, start below the chain predecessor's
+                # Arrived at this depth: start below the chain predecessor's
                 # label, and stay above the twin-room floor.
-                for d, fin in recount[depth]:
-                    count = 0
-                    free = down[n + 1]
-                    while free:
-                        if free in fin:
-                            count += 1
-                        free = down[free]
-                    dead[d] = count
                 prev = orbit_prev[v]
                 if prev >= 0:
                     label = down[label_of[prev]]
@@ -436,24 +423,25 @@ class _Engine:
             used[label] = True
             up[down[label]] = up[label]
             down[up[label]] = down[label]
-            for d, fin in tracked[depth]:
-                if label in fin:
-                    dead[d] -= 1
             for s in adds[v]:
                 partial[s] += label
-            for s, fin, track in closes[v]:
+            dead = False
+            for s, fin, checked in closes[v]:
                 weight = partial[s] + label
                 if weight in fin:
                     fin[weight] += 1
                     conflicts += 1
                 else:
                     fin[weight] = 1
-                    if track >= 0 and weight <= n and not used[weight]:
-                        dead[track] += 1
-            if prune and conflicts:
+                    if checked and weight <= n and not used[weight]:
+                        dead = True
+            if dead or prune and conflicts:
                 continue
-            for d, _ in tracked[depth]:
-                if dead[d]:
+            for fin in sweep[depth]:
+                free = down[n + 1]
+                while free and free not in fin:
+                    free = down[free]
+                if free:
                     break
             else:
                 depth += 1
@@ -461,10 +449,53 @@ class _Engine:
         return aborted
 
 
-def _search(g, sets, mode, budget, prune, symmetry):
+def search_labeling(
+    g: OrientedGraph,
+    D,
+    mode: str = "first",
+    budget: int | None = None,
+    *,
+    prune: bool = True,
+    symmetry: bool = True,
+) -> SearchResult:
+    """Search for D-antimagic labelings of g.
+
+    ``first`` stops at the first labeling in deterministic order;
+    ``count`` visits the whole (symmetry-reduced) space and counts;
+    ``all`` additionally returns every labeling found.  The exhaustive
+    modes are capped by :func:`vertex_cap`; ``first`` is not, but a
+    budget is recommended beyond the cap.
+    """
+    return search_joint_labeling(
+        g, (D,), mode, budget, prune=prune, symmetry=symmetry
+    )
+
+
+def search_joint_labeling(
+    g: OrientedGraph,
+    distance_sets,
+    mode: str = "first",
+    budget: int | None = None,
+    *,
+    prune: bool = True,
+    symmetry: bool = True,
+) -> SearchResult:
+    """Like :func:`search_labeling` but antimagic under every given set at once."""
+    if mode not in ("first", "all", "count"):
+        raise ValueError(f"mode must be first, all or count, got {mode!r}")
+    n = len(g)
+    if mode in ("all", "count"):
+        cap = vertex_cap()
+        if n > cap:
+            raise VertexCapError(
+                f"mode={mode} is exhaustive and capped at {cap} vertices "
+                f"(graph has {n}; raise {ENV_VERTEX_CAP} to override)"
+            )
+    sets = tuple(DistanceSet.of(D) for D in distance_sets)
+    if not sets:
+        raise ValueError("need at least one distance set")
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be a non-negative node count, got {budget!r}")
-    n = len(g)
     for D in sets:
         if not is_admissible(g, D):
             return SearchResult(
@@ -510,60 +541,3 @@ def _search(g, sets, mode, budget, prune, symmetry):
             tuple(Labeling(m) for m in engine.labelings) if mode == "all" else None
         ),
     )
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in ("first", "all", "count"):
-        raise ValueError(f"mode must be first, all or count, got {mode!r}")
-
-
-def _check_cap(g: OrientedGraph, what: str) -> None:
-    cap = vertex_cap()
-    if len(g) > cap:
-        raise VertexCapError(
-            f"{what} is exhaustive and capped at {cap} vertices "
-            f"(graph has {len(g)}; raise {ENV_VERTEX_CAP} to override)"
-        )
-
-
-def search_labeling(
-    g: OrientedGraph,
-    D,
-    mode: str = "first",
-    budget: int | None = None,
-    *,
-    prune: bool = True,
-    symmetry: bool = True,
-) -> SearchResult:
-    """Search for D-antimagic labelings of g.
-
-    ``first`` stops at the first labeling in deterministic order;
-    ``count`` visits the whole (symmetry-reduced) space and counts;
-    ``all`` additionally returns every labeling found.  The exhaustive
-    modes are capped by :func:`vertex_cap`; ``first`` is not, but a
-    budget is recommended beyond the cap.
-    """
-    _check_mode(mode)
-    if mode in ("all", "count"):
-        _check_cap(g, "mode=" + mode)
-    sets = (DistanceSet.of(D),)
-    return _search(g, sets, mode, budget, prune, symmetry)
-
-
-def search_joint_labeling(
-    g: OrientedGraph,
-    distance_sets,
-    mode: str = "first",
-    budget: int | None = None,
-    *,
-    prune: bool = True,
-    symmetry: bool = True,
-) -> SearchResult:
-    """Like :func:`search_labeling` but antimagic under every given set at once."""
-    _check_mode(mode)
-    if mode in ("all", "count"):
-        _check_cap(g, "mode=" + mode)
-    sets = tuple(DistanceSet.of(D) for D in distance_sets)
-    if not sets:
-        raise ValueError("need at least one distance set")
-    return _search(g, sets, mode, budget, prune, symmetry)

@@ -22,11 +22,10 @@ from antimagic import (
     closed_form_forest_labeling,
     construct_homogeneous_forest_labeling,
     construct_pi_forest_labeling,
-    construct_star_labeling,
     search_labeling,
-    star_forest_necessary_condition,
     verify_labeling,
 )
+from antimagic.constructions import decide, forest_rule
 
 D0 = DistanceSet([0])
 D1 = DistanceSet([1])
@@ -42,16 +41,22 @@ def test_star_distance_sets_are_the_seven_usable_ones():
 
 
 def test_necessary_condition_is_zero_in_d():
-    assert star_forest_necessary_condition(D01)
-    assert not star_forest_necessary_condition(D1)
-    assert not star_forest_necessary_condition(D12)
+    # Every oriented star has a sink, so two stars give two vertices of
+    # empty positive-distance neighborhood, which tie at zero without 0.
+    spec, ts = ForestSpec.parse("2x3"), (1, 2)
+    g = build_forest(spec, (ts,))
+    rule = forest_rule(spec.star_sizes(), ts)
+    assert decide(g, (D01,), rule).reason is None
+    for D in (D1, D12):
+        assert decide(g, (D,), rule).reason is Reason.MIN_D_POSITIVE
+        assert closed_form_forest_labeling(spec, (ts,), D) is None
 
 
 def test_unsupported_distance_sets_raise():
     with pytest.raises(UnsupportedDistanceSetError):
         characterize_star(3, 1, {3})
     with pytest.raises(UnsupportedDistanceSetError):
-        construct_star_labeling(3, 1, {0, 3})
+        characterize_star(3, 1, {0, 3})
     with pytest.raises(UnsupportedDistanceSetError):
         construct_homogeneous_forest_labeling(2, 3, 1, {0, 4})
 
@@ -101,7 +106,6 @@ def test_positive_decisions_carry_verified_witnesses():
                     assert verify_labeling(g, decision.witness, D).antimagic
                 else:
                     assert decision.witness is None
-                    assert construct_star_labeling(n, t, D) is None
 
 
 def test_characterization_matches_brute_force_decision():
@@ -116,7 +120,7 @@ def test_characterization_matches_brute_force_decision():
 
 def test_leaf_index_star_labeling_weights():
     g = build_star(StarShape(n=5, t=2))
-    labeling = construct_star_labeling(5, 2, D01)
+    labeling = characterize_star(5, 2, D01).witness
     assert dict(labeling) == {"c": 6, "l1": 1, "l2": 2, "l3": 3, "l4": 4, "l5": 5}
     report = verify_labeling(g, labeling, D01)
     assert dict(report.weights) == {
@@ -131,7 +135,7 @@ def test_leaf_index_star_labeling_weights():
 
 def test_center_mid_star_labeling_weights():
     g = build_star(StarShape(n=5, t=2))
-    labeling = construct_star_labeling(5, 2, D02)
+    labeling = characterize_star(5, 2, D02).witness
     assert dict(labeling) == {"c": 3, "l1": 1, "l2": 2, "l3": 4, "l4": 5, "l5": 6}
     report = verify_labeling(g, labeling, D02)
     assert dict(report.weights) == {
@@ -146,7 +150,7 @@ def test_center_mid_star_labeling_weights():
 
 def test_tiny_positive_cases_come_from_the_oracle():
     for n, t, D in [(1, 0, D1), (1, 1, D1), (2, 1, D1), (2, 1, D12)]:
-        labeling = construct_star_labeling(n, t, D)
+        labeling = characterize_star(n, t, D).witness
         g = build_star(StarShape(n=n, t=t))
         assert verify_labeling(g, labeling, D).antimagic
 

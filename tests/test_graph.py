@@ -15,7 +15,6 @@ from antimagic import (
     StarShape,
     build_star,
     d_neighborhood,
-    finite_diameter,
     is_admissible,
     verify_labeling,
 )
@@ -262,17 +261,25 @@ def test_any_bijection_is_zero_distance_antimagic(g, data):
 # -- diameter, admissibility, classification --------------------------
 
 def test_finite_diameter_cases():
-    assert finite_diameter(OrientedGraph(["a", "b"], [])) == 0
-    assert finite_diameter(build_star(StarShape(n=3, t=0))) == 1
-    assert finite_diameter(build_star(StarShape(n=3, t=3))) == 1
-    assert finite_diameter(build_star(StarShape(n=3, t=1))) == 2
+    # A set fits exactly when its largest distance is at most the finite
+    # diameter: 0 arcless, 1 for a star with a source or sink center, 2
+    # for an internal center.
+    for g, diameter in [
+        (OrientedGraph(["a", "b"], []), 0),
+        (build_star(StarShape(n=3, t=0)), 1),
+        (build_star(StarShape(n=3, t=3)), 1),
+        (build_star(StarShape(n=3, t=1)), 2),
+    ]:
+        assert oracle.finite_diameter(g.vertices, g.arcs) == diameter
+        assert is_admissible(g, {diameter})
+        assert not is_admissible(g, {0, diameter + 1})
 
 
 @given(star_shapes)
 def test_star_diameter_is_two_exactly_when_center_is_internal(shape):
     g = build_star(shape)
     want = 2 if 1 <= shape.t <= shape.n - 1 else 1
-    assert finite_diameter(g) == want
+    assert oracle.finite_diameter(g.vertices, g.arcs) == want
     assert is_admissible(g, {0, 2}) == (want == 2)
     assert is_admissible(g, {0, 1})
 
@@ -280,4 +287,6 @@ def test_star_diameter_is_two_exactly_when_center_is_internal(shape):
 @settings(max_examples=40)
 @given(small_graphs())
 def test_diameter_matches_path_oracle(g):
-    assert finite_diameter(g) == oracle.finite_diameter(g.vertices, g.arcs)
+    diameter = oracle.finite_diameter(g.vertices, g.arcs)
+    for largest in range(4):
+        assert is_admissible(g, {largest}) == (largest <= diameter), largest

@@ -261,11 +261,20 @@ def test_pruned_and_unpruned_counts_match_the_oracle(g, distance_sets):
         oracle.count_joint_antimagic(g.vertices, g.arcs, distance_sets)
         if fits else 0
     )
+    raw = {}
     for prune in (True, False):
-        raw = search_joint_labeling(
+        raw[prune] = search_joint_labeling(
             g, distance_sets, mode="count", symmetry=False, prune=prune
         )
-        assert raw.count == want, prune
+        assert raw[prune].count == want, prune
+    # Pruning only removes subtrees, and only ones holding no labeling, so
+    # it visits no more nodes and finds the same first labeling.
+    assert raw[True].nodes_explored <= raw[False].nodes_explored
+    first = [
+        search_joint_labeling(g, distance_sets, symmetry=False, prune=prune).witness
+        for prune in (True, False)
+    ]
+    assert first[0] == first[1]
     reduced = search_joint_labeling(g, distance_sets, mode="count")
     assert reduced.count * reduced.symmetry_order == want
 
@@ -283,10 +292,18 @@ def test_pruned_and_unpruned_counts_match_the_oracle(g, distance_sets):
          118_495, 23_704 * 144),
         (build_forest(ForestSpec.parse("1x4@2,1x4@2")), ((0, 1), (0, 2)),
          "count", 108_490, 7_779 * 32),
+        # The sets' dead-label checks start at different depths (3 and 2).
+        (build_star(StarShape(n=9, t=3)), ((0, 1), (0, 2)), "count", 2_865,
+         310 * 4_320),
+        # A weight closed one depth past the first check depth can leave
+        # a dead label here.
+        (build_forest(ForestSpec.parse("1x1@0,1x5@2")), (0, 1, 2), "all", 12_324,
+         2_520 * 12),
     ],
     ids=["star9@3-count", "1x3@1,1x3@1-all", "star9@4-refute",
          "1x4@2,1x4@2-01-count", "1x4@1,1x4@1-02-count",
-         "1x4@2,1x4@2-01+02-count"],
+         "1x4@2,1x4@2-01+02-count", "star9@3-01+02-count",
+         "1x1@0,1x5@2-012-all"],
 )
 def test_exhaustive_node_totals_do_not_depend_on_value_order(
     g, D, mode, nodes, unreduced
