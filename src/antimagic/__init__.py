@@ -44,9 +44,6 @@ _EXPORTS = {
     "constructions": (
         "PI_DISTANCE_SETS",
         "STAR_DISTANCE_SETS",
-        "ConstructionStatus",
-        "Decision",
-        "ForestConstruction",
         "Reason",
         "characterize_star",
         "closed_form_forest_labeling",
@@ -59,7 +56,7 @@ _EXPORTS = {
         "search_joint_labeling",
         "search_labeling",
     ),
-    "scan": ("ScanRow", "ScanVerdict", "format_scan_table", "scan_orientations"),
+    "scan": ("ScanRow", "format_scan_table", "scan_orientations"),
     "io": ("GraphDocument",),
 }
 

@@ -470,24 +470,14 @@ def _cmd_search(args) -> int:
     sets = _requested_sets(args)
     doc = _read_document(args.graph)
     g = _graph_of(doc, args.graph)
-    if len(sets) == 1:
-        result = search_labeling(
-            g,
-            sets[0],
-            mode=args.mode,
-            budget=args.budget,
-            prune=args.prune,
-            symmetry=args.symmetry,
-        )
-    else:
-        result = search_joint_labeling(
-            g,
-            sets,
-            mode=args.mode,
-            budget=args.budget,
-            prune=args.prune,
-            symmetry=args.symmetry,
-        )
+    result = search_joint_labeling(
+        g,
+        sets,
+        mode=args.mode,
+        budget=args.budget,
+        prune=args.prune,
+        symmetry=args.symmetry,
+    )
     if result.witness is not None:
         # Gate the witness only: re-verifying every labeling of --mode all
         # would cost more than the search.

@@ -81,9 +81,8 @@ def search_joint_labeling(*args, **kwargs):
 
 
 class Reason(Enum):
-    """Why a star or forest is, or cannot be, D-antimagic."""
+    """Why a star or forest cannot be D-antimagic."""
 
-    CONSTRUCTION_EXISTS = "CONSTRUCTION_EXISTS"
     CENTER_SOURCE_OR_SINK = "CENTER_SOURCE_OR_SINK"
     TWO_SINK_LEAVES = "TWO_SINK_LEAVES"
     TWO_SOURCE_LEAVES = "TWO_SOURCE_LEAVES"
@@ -93,45 +92,14 @@ class Reason(Enum):
     UNFIT_DISTANCE_SET = UNFIT_DISTANCE_SET
 
 
-class Decision(NamedTuple):
-    """Antimagic verdict with its structural reason and, if true, a witness."""
-
-    antimagic: bool
-    reason: Reason
-    witness: Labeling | None = None
-
-
-class ConstructionStatus(str, Enum):
-    CONSTRUCTED = "constructed"
-    SEARCH_FOUND = "search-found"
-    NOT_ANTIMAGIC = "not-antimagic"
-    SEARCH_EXHAUSTED = "search-exhausted"
-    SEARCH_ABORTED = "search-aborted"
-
-
-class ForestConstruction(NamedTuple):
-    """Outcome of a forest labeling request.
-
-    A present labeling is always verifier-checked.  ``reason`` is set
-    for theorem-backed impossibility; a ``search-exhausted`` status is
-    empirical impossibility (the oracle covered the whole space);
-    ``search-aborted`` decides nothing.
-    """
-
-    status: ConstructionStatus
-    labeling: Labeling | None = None
-    reason: Reason | None = None
-    search: SearchResult | None = None
-
-
 class Verdict(NamedTuple):
     """The answer of :func:`decide`, with its evidence.
 
-    ``status`` is ANTIMAGIC, NOT_ANTIMAGIC or ABORTED, and ``method``
-    says how it was reached.  A refusal names its ``reason`` and the
-    distance set it ``refuted``; a positive verdict carries a verified
-    ``witness``; a verdict the search reached carries the search's
-    result.
+    Every construct and every scan cell gets one.  ``status`` is
+    ANTIMAGIC, NOT_ANTIMAGIC or ABORTED, and ``method`` says how it was
+    reached.  A refusal names its ``reason`` and the distance set it
+    ``refuted``; a positive verdict carries a verified ``witness``; a
+    verdict the search reached carries the search's result.
     """
 
     status: str
@@ -297,26 +265,13 @@ def star_rule(n: int, t: int) -> Rule:
     return rule
 
 
-def characterize_star(n: int, t: int, D) -> Decision:
+def characterize_star(n: int, t: int, D) -> Verdict:
     """Decide D-antimagicness of the oriented star K_{1,n} with t sources.
 
     Supported distance sets have maximum at most 2 (larger values raise
-    :class:`UnsupportedDistanceSetError`).  A true decision carries a
-    verified witness labeling.
+    :class:`UnsupportedDistanceSetError`).
     """
-    shape = StarShape(n=n, t=t)
-    D = DistanceSet.of(D)
-    _require_star_domain(D)
-    verdict = decide(build_star(shape), (D,), star_rule(n, t))
-    if verdict.witness is not None:
-        return Decision(
-            antimagic=True,
-            reason=Reason.CONSTRUCTION_EXISTS,
-            witness=verdict.witness,
-        )
-    if verdict.reason is None:
-        raise RuntimeError(f"expected a witness for {shape} under {D}")
-    return Decision(antimagic=False, reason=verdict.reason)
+    return decide(build_star(StarShape(n=n, t=t)), (D,), star_rule(n, t))
 
 
 # -- star forests -----------------------------------------------------
@@ -451,40 +406,17 @@ def construct_homogeneous_forest_labeling(
     D,
     *,
     search_budget: int | None = None,
-) -> ForestConstruction:
-    """A D-antimagic labeling of m disjoint copies of K_{1,n} with t sources.
+) -> Verdict:
+    """Decide m disjoint copies of K_{1,n} with t sources under D.
 
-    Closed forms cover D={0} and, for D={0,1}, the orientations t=0,
-    t=n, t=n-1 and 2 <= t <= n-2; D={0,2} and {0,1,2} are covered for
-    every internal-center orientation and impossible otherwise.  The
-    remaining orientation t=1 (n >= 3) has no known closed form and is
-    delegated to the search oracle (``search_budget`` nodes, or the
-    default of :func:`decide`), whose verdict for the instance is
-    reported as found or exhausted rather than assumed.
+    The family's rule is :func:`homogeneous_rule`; its one orientation
+    without a closed form, t=1 (n >= 3) under {0,1}, is searched with
+    ``search_budget`` nodes, or the default of :func:`decide`.
     """
-    shape = StarShape(n=n, t=t)
     D = DistanceSet.of(D)
     _require_star_domain(D)
-    g = build_homogeneous_forest(m, shape)
-    verdict = decide(g, (D,), homogeneous_rule(m, n, t), search_budget)
-    if verdict.method == BY_CONSTRUCTION:
-        return ForestConstruction(
-            status=ConstructionStatus.CONSTRUCTED,
-            labeling=verdict.witness,
-            reason=Reason.CONSTRUCTION_EXISTS,
-        )
-    if verdict.search is None:
-        return ForestConstruction(
-            status=ConstructionStatus.NOT_ANTIMAGIC, reason=verdict.reason
-        )
-    status = {
-        ANTIMAGIC: ConstructionStatus.SEARCH_FOUND,
-        NOT_ANTIMAGIC: ConstructionStatus.SEARCH_EXHAUSTED,
-        ABORTED: ConstructionStatus.SEARCH_ABORTED,
-    }[verdict.status]
-    return ForestConstruction(
-        status=status, labeling=verdict.witness, search=verdict.search
-    )
+    g = build_homogeneous_forest(m, StarShape(n=n, t=t))
+    return decide(g, (D,), homogeneous_rule(m, n, t), search_budget)
 
 
 PI_DISTANCE_SETS: tuple[DistanceSet, ...] = (

@@ -23,10 +23,11 @@ from .constructions import (  # the statuses and methods are re-exported
     BY_SEARCH,
     BY_UNFIT_DISTANCE_SET,
     NOT_ANTIMAGIC,
+    Verdict,
     decide,
     forest_rule,
 )
-from .graph import DistanceSet, Labeling
+from .graph import DistanceSet
 from .stars import (
     ForestSpec,
     build_forest,
@@ -35,20 +36,11 @@ from .stars import (
 )
 
 
-class ScanVerdict(NamedTuple):
-    """One table cell: verdict, how it was reached, and its evidence."""
-
-    status: str
-    method: str
-    witness: Labeling | None = None
-    nodes_explored: int = 0
-
-
 class ScanRow(NamedTuple):
     """Verdicts for one orientation class, keyed by distance set."""
 
     orientation: tuple[tuple[int, ...], ...]
-    verdicts: dict[DistanceSet, ScanVerdict]
+    verdicts: dict[DistanceSet, Verdict]
 
 
 def scan_orientations(
@@ -70,12 +62,7 @@ def scan_orientations(
     for orientation in enumerate_forest_orientations(spec):
         g = build_forest(spec, orientation)
         rule = forest_rule(sizes, orientation_sources(spec, orientation))
-        verdicts = {}
-        for D in sets:
-            verdict = decide(g, (D,), rule, budget)
-            verdicts[D] = ScanVerdict(
-                verdict.status, verdict.method, verdict.witness, verdict.nodes_explored
-            )
+        verdicts = {D: decide(g, (D,), rule, budget) for D in sets}
         rows.append(ScanRow(orientation=orientation, verdicts=verdicts))
     return rows
 

@@ -158,23 +158,19 @@ class ForestSpec(_Record):
         collected: dict[int, list] = {}
         for term in text.split(","):
             term = term.strip()
-            body, _, t_part = term.partition("@")
+            body, at, t_part = term.partition("@")
             count_part, sep, leaves_part = body.partition("x")
-            try:
-                count = int(count_part)
-                leaves = int(leaves_part)
-            except ValueError:
-                raise ValueError(f"cannot parse forest term {term!r}") from None
-            if not sep:
+            # Plain decimal digits only: int() would also take signs,
+            # spaces and underscores.
+            fields = (count_part, leaves_part, t_part) if at else (count_part, leaves_part)
+            if not sep or not all(field.isdecimal() for field in fields):
                 raise ValueError(f"cannot parse forest term {term!r}")
-            if t_part:
+            count = int(count_part)
+            leaves = int(leaves_part)
+            if at:
                 if pi:
                     raise ValueError("pi forests fix their orientation; drop @t")
-                try:
-                    t = int(t_part)
-                except ValueError:
-                    raise ValueError(f"cannot parse forest term {term!r}") from None
-                ts: list[int | None] = [t] * count
+                ts: list[int | None] = [int(t_part)] * count
             else:
                 ts = [None] * count
             collected.setdefault(leaves, []).append((count, ts))

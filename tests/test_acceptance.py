@@ -9,7 +9,6 @@ loudly instead of silently stretching the suite.
 import time
 
 from antimagic import (
-    ConstructionStatus,
     DistanceSet,
     ForestSpec,
     Labeling,
@@ -22,15 +21,14 @@ from antimagic import (
     build_forest_pi,
     build_homogeneous_forest,
     build_star,
-    characterize_star,
-    construct_homogeneous_forest_labeling,
     construct_pi_forest_labeling,
     enumerate_forest_orientations,
     search_joint_labeling,
     search_labeling,
     verify_labeling,
 )
-from antimagic.scan import ANTIMAGIC, scan_orientations
+from antimagic.constructions import ANTIMAGIC, decide, homogeneous_rule, star_rule
+from antimagic.scan import scan_orientations
 
 D01 = DistanceSet.of([0, 1])
 D02 = DistanceSet.of([0, 2])
@@ -49,7 +47,7 @@ def test_characterization_agrees_with_exhaustive_search():
         for t in range(n + 1):
             g = build_star(StarShape(n=n, t=t))
             for D in STAR_DISTANCE_SETS:
-                claimed = characterize_star(n, t, D).antimagic
+                claimed = decide(g, (D,), star_rule(n, t)).status == ANTIMAGIC
                 found = search_labeling(g, D, mode="first").status is SearchStatus.FOUND
                 assert claimed == found, (n, t, D)
                 checked += 1
@@ -69,9 +67,9 @@ def test_every_emitted_construction_verifies():
         for t in range(n + 1):
             g = build_star(StarShape(n=n, t=t))
             for D in STAR_DISTANCE_SETS:
-                decision = characterize_star(n, t, D)
-                if decision.antimagic:
-                    assert verify_labeling(g, decision.witness, D).antimagic
+                verdict = decide(g, (D,), star_rule(n, t))
+                if verdict.status == ANTIMAGIC:
+                    assert verify_labeling(g, verdict.witness, D).antimagic
                     emitted += 1
 
     for m in range(2, 5):
@@ -79,13 +77,10 @@ def test_every_emitted_construction_verifies():
             for D in (D01, D02, D012):
                 valid_ts = range(n + 1) if D == D01 else range(1, n)
                 for t in valid_ts:
-                    outcome = construct_homogeneous_forest_labeling(m, n, t, D)
-                    assert outcome.status in (
-                        ConstructionStatus.CONSTRUCTED,
-                        ConstructionStatus.SEARCH_FOUND,
-                    ), (m, n, t, D)
                     g = build_homogeneous_forest(m, StarShape(n=n, t=t))
-                    assert verify_labeling(g, outcome.labeling, D).antimagic
+                    verdict = decide(g, (D,), homogeneous_rule(m, n, t))
+                    assert verdict.status == ANTIMAGIC, (m, n, t, D)
+                    assert verify_labeling(g, verdict.witness, D).antimagic
                     emitted += 1
 
     for text in ("2x2", "3x3", "2x3,1x4", "2x2,1x3,1x4", "3x3,2x4,1x5"):

@@ -1,0 +1,43 @@
+"""Smoke test of the benchmark's traced child, ``bench/tracer.py``.
+
+The tracer rebinds about twenty names on ``cli``, ``constructions`` and
+``scan`` before it runs a request.  A change that drops one of them
+breaks every traced benchmark run, so two requests run through it here:
+a construct that reaches the search, and a scan.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
+
+
+@pytest.mark.parametrize(
+    "argv, span",
+    [
+        (["construct", "--family", "mstar", "--m", "3", "--n", "4", "--t", "1",
+          "--d", "0,1"], "search.call"),
+        (["scan", "--spec", "2x2", "--d", "0,1"], "scan.scan"),
+    ],
+    ids=["construct-search", "scan"],
+)
+def test_traced_request_runs_and_writes_spans(argv, span, tmp_path):
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(TRACER), str(spans_path), *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(spans_path.read_text(encoding="utf-8"))
+    names = {record[2] for record in spans}
+    assert {"cli.main", span} <= names, names

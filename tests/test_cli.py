@@ -626,7 +626,7 @@ def test_search_does_not_hide_internal_value_errors(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal failure")
 
-    monkeypatch.setattr(cli, "search_labeling", broken)
+    monkeypatch.setattr(cli, "search_joint_labeling", broken)
     path, _ = write_star_doc(tmp_path, 2, 1)
     with pytest.raises(ValueError, match="internal failure"):
         main(["search", str(path), "--d", "0,1"])
@@ -829,6 +829,22 @@ def test_scan_rejects_oriented_specs(capsys):
 def test_scan_rejects_single_star(capsys):
     code, _, err = run_cli(["scan", "--spec", "1x3", "--d", "0,1"], capsys)
     assert code == 64
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--spec", "2x2@", "--d", "0,1"],
+        ["construct", "--family", "forest-pi", "--spec", "2x2@", "--d", "0,1"],
+        ["construct", "--family", "forest", "--spec", "2x2@", "--d", "0,1"],
+    ],
+    ids=["scan", "forest-pi", "forest"],
+)
+def test_malformed_spec_is_usage_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 64
+    assert out == ""
+    assert "cannot parse forest term" in err
 
 
 def test_scan_budget_abort_exits_three(capsys):

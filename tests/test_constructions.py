@@ -4,7 +4,6 @@ import naive_oracle as oracle
 from antimagic import (
     PI_DISTANCE_SETS,
     STAR_DISTANCE_SETS,
-    ConstructionStatus,
     DistanceSet,
     ForestSpec,
     GraphError,
@@ -25,7 +24,17 @@ from antimagic import (
     search_labeling,
     verify_labeling,
 )
-from antimagic.constructions import decide, forest_rule
+from antimagic.constructions import (
+    ABORTED,
+    ANTIMAGIC,
+    BY_CONSTRUCTION,
+    BY_SEARCH,
+    NOT_ANTIMAGIC,
+    decide,
+    forest_rule,
+    homogeneous_rule,
+    star_rule,
+)
 
 D0 = DistanceSet([0])
 D1 = DistanceSet([1])
@@ -34,6 +43,15 @@ D01 = DistanceSet([0, 1])
 D02 = DistanceSet([0, 2])
 D12 = DistanceSet([1, 2])
 D012 = DistanceSet([0, 1, 2])
+
+
+def star_verdict(n, t, D):
+    return decide(build_star(StarShape(n=n, t=t)), (D,), star_rule(n, t))
+
+
+def mstar_verdict(m, n, t, D, budget=None):
+    g = build_homogeneous_forest(m, StarShape(n=n, t=t))
+    return decide(g, (D,), homogeneous_rule(m, n, t), budget)
 
 
 def test_star_distance_sets_are_the_seven_usable_ones():
@@ -82,17 +100,18 @@ def test_star_verdicts_frozen_table():
         (5, 5, D012, False),
     ]
     for n, t, D, want in cases:
-        assert characterize_star(n, t, D).antimagic == want, (n, t, D)
+        assert (star_verdict(n, t, D).status == ANTIMAGIC) == want, (n, t, D)
 
 
 def test_star_obstruction_reasons():
-    assert characterize_star(3, 1, D1).reason is Reason.N_EXCEEDS_BOUND
-    assert characterize_star(2, 0, D1).reason is Reason.TWO_SINK_LEAVES
-    assert characterize_star(2, 2, D1).reason is Reason.TWO_SOURCE_LEAVES
-    assert characterize_star(5, 2, D2).reason is Reason.ZERO_WEIGHT_TIE
-    assert characterize_star(5, 0, D2).reason is Reason.CENTER_SOURCE_OR_SINK
-    assert characterize_star(4, 0, D02).reason is Reason.CENTER_SOURCE_OR_SINK
-    assert characterize_star(4, 2, D01).reason is Reason.CONSTRUCTION_EXISTS
+    assert star_verdict(3, 1, D1).reason is Reason.N_EXCEEDS_BOUND
+    assert star_verdict(2, 0, D1).reason is Reason.TWO_SINK_LEAVES
+    assert star_verdict(2, 2, D1).reason is Reason.TWO_SOURCE_LEAVES
+    assert star_verdict(5, 2, D2).reason is Reason.ZERO_WEIGHT_TIE
+    assert star_verdict(5, 0, D2).reason is Reason.CENTER_SOURCE_OR_SINK
+    assert star_verdict(4, 0, D02).reason is Reason.CENTER_SOURCE_OR_SINK
+    positive = star_verdict(4, 2, D01)
+    assert (positive.method, positive.reason) == (BY_CONSTRUCTION, None)
 
 
 def test_positive_decisions_carry_verified_witnesses():
@@ -100,12 +119,12 @@ def test_positive_decisions_carry_verified_witnesses():
         for t in range(n + 1):
             g = build_star(StarShape(n=n, t=t))
             for D in STAR_DISTANCE_SETS:
-                decision = characterize_star(n, t, D)
-                if decision.antimagic:
-                    assert decision.witness is not None
-                    assert verify_labeling(g, decision.witness, D).antimagic
+                verdict = decide(g, (D,), star_rule(n, t))
+                if verdict.status == ANTIMAGIC:
+                    assert verdict.witness is not None
+                    assert verify_labeling(g, verdict.witness, D).antimagic
                 else:
-                    assert decision.witness is None
+                    assert verdict.witness is None
 
 
 def test_characterization_matches_brute_force_decision():
@@ -115,12 +134,13 @@ def test_characterization_matches_brute_force_decision():
             g = build_star(StarShape(n=n, t=t))
             for D in STAR_DISTANCE_SETS:
                 want = oracle.decides_antimagic(g.vertices, g.arcs, D.members)
-                assert characterize_star(n, t, D).antimagic == want, (n, t, D)
+                verdict = decide(g, (D,), star_rule(n, t))
+                assert (verdict.status == ANTIMAGIC) == want, (n, t, D)
 
 
 def test_leaf_index_star_labeling_weights():
     g = build_star(StarShape(n=5, t=2))
-    labeling = characterize_star(5, 2, D01).witness
+    labeling = decide(g, (D01,), star_rule(5, 2)).witness
     assert dict(labeling) == {"c": 6, "l1": 1, "l2": 2, "l3": 3, "l4": 4, "l5": 5}
     report = verify_labeling(g, labeling, D01)
     assert dict(report.weights) == {
@@ -135,7 +155,7 @@ def test_leaf_index_star_labeling_weights():
 
 def test_center_mid_star_labeling_weights():
     g = build_star(StarShape(n=5, t=2))
-    labeling = characterize_star(5, 2, D02).witness
+    labeling = decide(g, (D02,), star_rule(5, 2)).witness
     assert dict(labeling) == {"c": 3, "l1": 1, "l2": 2, "l3": 4, "l4": 5, "l5": 6}
     report = verify_labeling(g, labeling, D02)
     assert dict(report.weights) == {
@@ -150,8 +170,8 @@ def test_center_mid_star_labeling_weights():
 
 def test_tiny_positive_cases_come_from_the_oracle():
     for n, t, D in [(1, 0, D1), (1, 1, D1), (2, 1, D1), (2, 1, D12)]:
-        labeling = characterize_star(n, t, D).witness
         g = build_star(StarShape(n=n, t=t))
+        labeling = decide(g, (D,), star_rule(n, t)).witness
         assert verify_labeling(g, labeling, D).antimagic
 
 
@@ -159,31 +179,31 @@ def test_tiny_positive_cases_come_from_the_oracle():
 
 def test_forest_rejects_positive_minimum_distance():
     for D in (D1, D2, D12):
-        outcome = construct_homogeneous_forest_labeling(2, 3, 1, D)
-        assert outcome.status is ConstructionStatus.NOT_ANTIMAGIC
-        assert outcome.reason is Reason.MIN_D_POSITIVE
+        verdict = mstar_verdict(2, 3, 1, D)
+        assert verdict.status == NOT_ANTIMAGIC
+        assert verdict.reason is Reason.MIN_D_POSITIVE
 
 
 def test_forest_distance_two_needs_internal_centers():
     for t in (0, 3):
-        outcome = construct_homogeneous_forest_labeling(2, 3, t, D02)
-        assert outcome.status is ConstructionStatus.NOT_ANTIMAGIC
-        assert outcome.reason is Reason.CENTER_SOURCE_OR_SINK
+        verdict = mstar_verdict(2, 3, t, D02)
+        assert verdict.status == NOT_ANTIMAGIC
+        assert verdict.reason is Reason.CENTER_SOURCE_OR_SINK
 
 
 def test_forest_zero_distance_uses_sequential_labels():
-    outcome = construct_homogeneous_forest_labeling(2, 3, 1, D0)
-    assert outcome.status is ConstructionStatus.CONSTRUCTED
+    verdict = mstar_verdict(2, 3, 1, D0)
+    assert verdict.method == BY_CONSTRUCTION
     g = build_homogeneous_forest(2, StarShape(n=3, t=1))
-    assert outcome.labeling == Labeling.sequential(g)
+    assert verdict.witness == Labeling.sequential(g)
 
 
 def test_all_sink_forest_center_weights():
     # centers mn+j over their leaf blocks: closed form (n^2+1)j + n(2m-n+1)/2
-    outcome = construct_homogeneous_forest_labeling(2, 3, 0, D01)
-    assert outcome.status is ConstructionStatus.CONSTRUCTED
+    verdict = mstar_verdict(2, 3, 0, D01)
+    assert verdict.method == BY_CONSTRUCTION
     g = build_homogeneous_forest(2, StarShape(n=3, t=0))
-    report = verify_labeling(g, outcome.labeling, D01)
+    report = verify_labeling(g, verdict.witness, D01)
     assert report.weights["c1"] == 13
     assert report.weights["c2"] == 23
     for j in (1, 2):
@@ -192,9 +212,9 @@ def test_all_sink_forest_center_weights():
 
 def test_single_sink_routing_for_one_sink_orientation():
     # t = n-1 goes through the single-sink pattern, not the mixed formula
-    outcome = construct_homogeneous_forest_labeling(2, 3, 2, D01)
-    assert outcome.status is ConstructionStatus.CONSTRUCTED
-    labeling = outcome.labeling
+    verdict = mstar_verdict(2, 3, 2, D01)
+    assert verdict.method == BY_CONSTRUCTION
+    labeling = verdict.witness
     assert labeling["l1.3"] == 1 and labeling["l2.3"] == 2
     assert labeling["c1"] == 3 and labeling["c2"] == 4
 
@@ -203,29 +223,29 @@ def test_mixed_orientation_closed_form_range():
     for m in (2, 3):
         for n in (4, 5, 6):
             for t in range(2, n - 1):
-                outcome = construct_homogeneous_forest_labeling(m, n, t, D01)
-                assert outcome.status is ConstructionStatus.CONSTRUCTED, (m, n, t)
+                verdict = mstar_verdict(m, n, t, D01)
+                assert verdict.method == BY_CONSTRUCTION, (m, n, t)
 
 
 def test_single_source_orientation_is_delegated_to_search():
-    outcome = construct_homogeneous_forest_labeling(2, 3, 1, D01)
-    assert outcome.status is ConstructionStatus.SEARCH_FOUND
-    assert outcome.search is not None
-    assert outcome.search.status is SearchStatus.FOUND
+    verdict = mstar_verdict(2, 3, 1, D01)
+    assert (verdict.status, verdict.method) == (ANTIMAGIC, BY_SEARCH)
+    assert verdict.search is not None
+    assert verdict.search.status is SearchStatus.FOUND
     g = build_homogeneous_forest(2, StarShape(n=3, t=1))
-    assert verify_labeling(g, outcome.labeling, D01).antimagic
+    assert verify_labeling(g, verdict.witness, D01).antimagic
 
 
 def test_single_source_search_can_be_budgeted_out():
-    outcome = construct_homogeneous_forest_labeling(3, 6, 1, D01, search_budget=10)
-    assert outcome.status is ConstructionStatus.SEARCH_ABORTED
-    assert outcome.labeling is None
+    verdict = mstar_verdict(3, 6, 1, D01, budget=10)
+    assert (verdict.status, verdict.method) == (ABORTED, BY_SEARCH)
+    assert verdict.witness is None
 
 
 def test_distance_two_closed_form_small_example():
-    outcome = construct_homogeneous_forest_labeling(2, 3, 1, D02)
-    assert outcome.status is ConstructionStatus.CONSTRUCTED
-    assert dict(outcome.labeling) == {
+    verdict = mstar_verdict(2, 3, 1, D02)
+    assert verdict.method == BY_CONSTRUCTION
+    assert dict(verdict.witness) == {
         "c1": 5,
         "l1.1": 7,
         "l1.2": 1,
@@ -242,10 +262,10 @@ def test_distance_two_closed_form_serves_both_sets():
         for n in (3, 6):
             for t in range(1, n):
                 for D in (D02, D012):
-                    outcome = construct_homogeneous_forest_labeling(m, n, t, D)
-                    assert outcome.status is ConstructionStatus.CONSTRUCTED, (m, n, t, D)
+                    verdict = mstar_verdict(m, n, t, D)
+                    assert verdict.method == BY_CONSTRUCTION, (m, n, t, D)
                     g = build_homogeneous_forest(m, StarShape(n=n, t=t))
-                    assert verify_labeling(g, outcome.labeling, D).antimagic
+                    assert verify_labeling(g, verdict.witness, D).antimagic
 
 
 # -- the forced single-sink forest ------------------------------------

@@ -22,10 +22,10 @@ import pytest
 
 import antimagic
 from antimagic import cli, constructions, graph, search
-from antimagic.constructions import Decision, ForestConstruction
+from antimagic.constructions import Verdict
 from antimagic.graph import WeightReport
 from antimagic.io import GraphDocument
-from antimagic.scan import ScanRow, ScanVerdict
+from antimagic.scan import ScanRow
 from antimagic.search import SearchResult, SearchStatus
 from antimagic.stars import ForestSpec, StarGroup, StarShape, build_star
 
@@ -127,7 +127,7 @@ def test_importing_the_package_loads_no_submodule(tmp_path):
 
 def test_every_export_is_its_home_modules_object():
     names = [name for name in antimagic.__all__ if name != "__version__"]
-    assert len(names) == len(set(names)) == 41
+    assert len(names) == len(set(names)) == 37
     for module, exported in antimagic._EXPORTS.items():
         home = importlib.import_module(f"antimagic.{module}")
         for name in exported:
@@ -239,9 +239,7 @@ def test_records_are_immutable():
         (WeightReport(weights={}, collisions=()), "collisions"),
         (GraphDocument.from_graph(g), "labeling"),
         (SearchResult(SearchStatus.FOUND, None, None, 1), "count"),
-        (Decision(antimagic=False, reason=None), "witness"),
-        (ForestConstruction(status=None), "labeling"),
-        (ScanVerdict(status="aborted", method="search"), "nodes_explored"),
+        (Verdict(status="aborted", method="search"), "witness"),
         (ScanRow(orientation=((1, 2),), verdicts={}), "verdicts"),
     ]
     for record, field in records:
@@ -264,9 +262,9 @@ def test_result_records_keep_defaults_equality_and_repr():
         "witness=None, count=0, nodes_explored=7, symmetry_order=1, "
         "shortcut=None, labelings=None)"
     )
-    assert repr(ScanVerdict(status="aborted", method="search")) == (
-        "ScanVerdict(status='aborted', method='search', witness=None, "
-        "nodes_explored=0)"
+    assert repr(Verdict(status="aborted", method="search")) == (
+        "Verdict(status='aborted', method='search', witness=None, "
+        "reason=None, refuted=None, search=None)"
     )
     report = graph.verify_labeling(
         build_star(StarShape(n=2, t=1)), {"c": 1, "l1": 2, "l2": 3}, {1}
@@ -297,7 +295,7 @@ def recording(calls, real):
 @pytest.mark.parametrize(
     "module, name, argv",
     [
-        (cli, "search_labeling", ["search", "DOC", "--d", "0,1"]),
+        (cli, "search_joint_labeling", ["search", "DOC", "--d", "0,1"]),
         (cli, "search_joint_labeling", ["search", "DOC", "--d", "0,1", "--d", "0,2"]),
         (cli, "build_forest",
          ["construct", "--family", "forest", "--spec", "2x3@2", "--d", "0,1"]),
@@ -305,7 +303,8 @@ def recording(calls, real):
          ["construct", "--family", "mstar", "--m", "2", "--n", "3", "--t", "1",
           "--d", "0,1"]),
     ],
-    ids=["cli.search_labeling", "cli.search_joint_labeling", "cli.build_forest",
+    ids=["cli.search_joint_labeling-one-set", "cli.search_joint_labeling",
+         "cli.build_forest",
          "constructions.search_labeling"],
 )
 def test_a_name_patched_before_the_first_call_is_what_runs(
