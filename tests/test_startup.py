@@ -303,8 +303,7 @@ def recording(calls, real):
          ["construct", "--family", "mstar", "--m", "2", "--n", "3", "--t", "1",
           "--d", "0,1"]),
     ],
-    ids=["cli.search_joint_labeling-one-set", "cli.search_joint_labeling",
-         "cli.build_forest",
+    ids=["cli.search-one-set", "cli.search_joint_labeling", "cli.build_forest",
          "constructions.search_labeling"],
 )
 def test_a_name_patched_before_the_first_call_is_what_runs(
