@@ -34,12 +34,12 @@ _EXPORTS = {
         "StarGroup",
         "StarShape",
         "build_forest",
-        "build_forest_pi",
         "build_homogeneous_forest",
         "build_star",
         "center_vertex",
         "enumerate_forest_orientations",
         "leaf_vertex",
+        "single_sink_orientation",
     ),
     "constructions": (
         "PI_DISTANCE_SETS",

@@ -55,10 +55,10 @@ _LAZY = {
         "ForestSpec",
         "StarShape",
         "build_forest",
-        "build_forest_pi",
         "build_homogeneous_forest",
         "build_star",
         "forest_parts",
+        "single_sink_orientation",
     ),
     "constructions": (
         "ABORTED",
@@ -67,6 +67,7 @@ _LAZY = {
         "decide",
         "forest_rule",
         "homogeneous_rule",
+        "require_star_domain",
         "star_rule",
     ),
     "search": (
@@ -305,10 +306,7 @@ def _cmd_construct(args) -> int:
     sets = _requested_sets(args)
     g, rule, params = _FAMILIES[args.family](args)
     for D in sets:
-        if D.largest > 2:
-            raise UnsupportedDistanceSetError(
-                f"distances in a star never exceed 2, got {D}"
-            )
+        require_star_domain(D)
     verdict = decide(g, sets, rule, args.budget)
     if verdict.witness is not None:
         metadata = {
@@ -370,43 +368,37 @@ def _mstar(args):
     return g, homogeneous_rule(args.m, args.n, args.t), params
 
 
-def _forest_pi(args):
-    _need(args, ("spec",))
-    try:
-        spec = ForestSpec.parse(args.spec, pi=True)
-        g = build_forest_pi(spec)
-    except (ValueError, GraphError) as exc:
-        raise _UsageError(str(exc)) from None
-    sizes = spec.star_sizes()
-    rule = forest_rule(sizes, tuple(n - 1 for n in sizes))
-    return g, rule, {"spec": args.spec, "pi": True}
-
-
 def _forest(args):
+    # forest takes each star's t from the spec's @t; forest-pi fixes
+    # t = n - 1 on every star itself.
     _need(args, ("spec",))
     try:
         spec = ForestSpec.parse(args.spec)
-        orientation = tuple(group.source_tuple() for group in spec.groups)
     except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    sources = tuple(group.sources for group in spec.groups)
+    if args.family == "forest-pi":
+        if any(part is not None for part in sources):
+            raise _UsageError("pi forests fix their orientation; drop @t")
+        orientation = single_sink_orientation(spec)
+        params = {"spec": args.spec, "pi": True}
+    elif None in sources:
         raise _UsageError(
-            f"{exc} (family forest needs @t on every term, e.g. 2x3@1)"
-            if "unspecified" in str(exc)
-            else str(exc)
-        ) from None
+            "group orientation is unspecified "
+            "(family forest needs @t on every term, e.g. 2x3@1)"
+        )
+    else:
+        orientation = sources
+        params = {"spec": args.spec, "orientation": [list(part) for part in sources]}
     try:
         g = build_forest(spec, orientation)
     except GraphError as exc:
         raise _UsageError(str(exc)) from None
     ts = tuple(t for part in orientation for t in part)
-    rule = forest_rule(spec.star_sizes(), ts)
-    params = {
-        "spec": args.spec,
-        "orientation": [list(part) for part in orientation],
-    }
-    return g, rule, params
+    return g, forest_rule(spec.star_sizes(), ts), params
 
 
-_FAMILIES = {"star": _star, "mstar": _mstar, "forest-pi": _forest_pi, "forest": _forest}
+_FAMILIES = {"star": _star, "mstar": _mstar, "forest-pi": _forest, "forest": _forest}
 
 
 # -- verify -----------------------------------------------------------

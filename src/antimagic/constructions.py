@@ -31,12 +31,12 @@ from .stars import (
     ForestSpec,
     StarShape,
     build_forest,
-    build_forest_pi,
     build_homogeneous_forest,
     build_star,
     center_vertex,
     leaf_vertex,
     orientation_sources,
+    single_sink_orientation,
 )
 
 if TYPE_CHECKING:
@@ -119,7 +119,8 @@ class Verdict(NamedTuple):
 Rule = Callable[[DistanceSet], Reason | dict | None]
 
 
-def _require_star_domain(D: DistanceSet) -> None:
+def require_star_domain(D: DistanceSet) -> None:
+    """Refuse a distance set reaching past 2, which no star or forest has."""
     if D.largest > 2:
         raise UnsupportedDistanceSetError(
             f"distances in a star never exceed 2, got {D}"
@@ -414,7 +415,7 @@ def construct_homogeneous_forest_labeling(
     ``search_budget`` nodes, or the default of :func:`decide`.
     """
     D = DistanceSet.of(D)
-    _require_star_domain(D)
+    require_star_domain(D)
     g = build_homogeneous_forest(m, StarShape(n=n, t=t))
     return decide(g, (D,), homogeneous_rule(m, n, t), search_budget)
 
@@ -441,7 +442,7 @@ def construct_pi_forest_labeling(spec: ForestSpec, D) -> Labeling:
             f"the single-sink-leaf construction serves "
             f"{{0,1}}, {{0,2}} and {{0,1,2}}, got {D}"
         )
-    g = build_forest_pi(spec)
+    g = build_forest(spec, single_sink_orientation(spec))
     labeling = _gate(g, _single_sink_labels(spec.star_sizes()), D)
     if labeling is None:
         raise RuntimeError(f"closed form failed verification under {D}")
@@ -460,7 +461,7 @@ def closed_form_forest_labeling(
     closed form is known, not that the forest is refractory).
     """
     D = DistanceSet.of(D)
-    _require_star_domain(D)
+    require_star_domain(D)
     # Every oriented star contains a sink, so a forest has at least two
     # vertices of empty positive-distance neighborhood; without distance
     # 0 those weights tie at zero.

@@ -83,44 +83,30 @@ class StarShape(_Record):
 class StarGroup(_Record):
     """``count`` copies of K_{1,leaves} inside a forest.
 
-    ``sources`` fixes the orientation: an int applies one t to every
-    copy, a tuple gives one t per copy, and None leaves the group
-    unoriented (for enumeration, or for the forced forest-pi pattern).
+    ``sources`` fixes the orientation, one t per copy, or is None for a
+    group left unoriented (for enumeration, or for an orientation
+    passed to :func:`build_forest` separately).
     """
 
     __slots__ = ("count", "leaves", "sources")
 
     def __init__(
-        self, count: int, leaves: int, sources: int | tuple[int, ...] | None = None
+        self, count: int, leaves: int, sources: tuple[int, ...] | None = None
     ):
         if count < 1:
             raise ValueError(f"group needs at least one star, got {count}")
         if leaves < 1:
             raise ValueError(f"stars need at least one leaf, got {leaves}")
-        if not (sources is None or isinstance(sources, int)):
+        if sources is not None:
             sources = tuple(sources)
-        self._init(count, leaves, sources)
-        if isinstance(sources, int):
-            self._check_t(sources)
-        elif sources is not None:
             if len(sources) != count:
                 raise ValueError(
                     f"need one t per copy: got {len(sources)} for {count} stars"
                 )
             for t in sources:
-                self._check_t(t)
-
-    def _check_t(self, t: int) -> None:
-        if not 0 <= t <= self.leaves:
-            raise ValueError(f"t must lie in 0..{self.leaves}, got {t}")
-
-    def source_tuple(self) -> tuple[int, ...]:
-        """Per-copy t values; raises if the group is unoriented."""
-        if self.sources is None:
-            raise ValueError("group orientation is unspecified")
-        if isinstance(self.sources, int):
-            return (self.sources,) * self.count
-        return self.sources
+                if not 0 <= t <= leaves:
+                    raise ValueError(f"t must lie in 0..{leaves}, got {t}")
+        self._init(count, leaves, sources)
 
 
 class ForestSpec(_Record):
@@ -128,15 +114,14 @@ class ForestSpec(_Record):
 
     Groups must be ordered by strictly increasing leaf count (merge
     same-size stars into one group; per-copy orientations cover the
-    mixed case).  ``pi`` marks the forced orientation pattern in which
-    each star has exactly one sink leaf, its last one.
+    mixed case).
     """
 
-    __slots__ = ("groups", "pi")
+    __slots__ = ("groups",)
 
-    def __init__(self, groups: tuple[StarGroup, ...], pi: bool = False):
+    def __init__(self, groups: tuple[StarGroup, ...]):
         groups = tuple(groups)
-        self._init(groups, pi)
+        self._init(groups)
         if not groups:
             raise ValueError("forest needs at least one group")
         sizes = [group.leaves for group in groups]
@@ -144,11 +129,9 @@ class ForestSpec(_Record):
             raise ValueError(
                 f"group leaf counts must strictly increase, got {sizes}"
             )
-        if pi and any(group.sources is not None for group in groups):
-            raise ValueError("pi forests fix their orientation; drop the t values")
 
     @classmethod
-    def parse(cls, text: str, pi: bool = False) -> "ForestSpec":
+    def parse(cls, text: str) -> "ForestSpec":
         """Read the command line mini-grammar, e.g. ``"3x5@2"`` or ``"3x3,2x4"``.
 
         Each comma-separated term is ``<count>x<leaves>`` with an
@@ -167,12 +150,7 @@ class ForestSpec(_Record):
                 raise ValueError(f"cannot parse forest term {term!r}")
             count = int(count_part)
             leaves = int(leaves_part)
-            if at:
-                if pi:
-                    raise ValueError("pi forests fix their orientation; drop @t")
-                ts: list[int | None] = [int(t_part)] * count
-            else:
-                ts = [None] * count
+            ts = [int(t_part) if at else None] * count
             collected.setdefault(leaves, []).append((count, ts))
         groups = []
         for leaves in sorted(collected):
@@ -187,15 +165,11 @@ class ForestSpec(_Record):
             else:
                 sources = tuple(ts)
             groups.append(StarGroup(count=count, leaves=leaves, sources=sources))
-        return cls(groups=tuple(groups), pi=pi)
+        return cls(groups=tuple(groups))
 
     @property
     def star_count(self) -> int:
         return sum(group.count for group in self.groups)
-
-    @property
-    def vertex_count(self) -> int:
-        return sum(group.count * (group.leaves + 1) for group in self.groups)
 
     def star_sizes(self) -> tuple[int, ...]:
         """Leaf count of every star, in star numbering order."""
@@ -263,8 +237,8 @@ def orientation_sources(
     """Per-star t values of an orientation, in star numbering order.
 
     Raises as :func:`build_forest` does for a spec of fewer than two
-    stars or an orientation that does not fit the spec, without
-    building the graph.
+    stars or an orientation that does not fit the spec or leaves a
+    group unspecified, without building the graph.
     """
     if spec.star_count < 2:
         raise GraphError("a star forest needs at least two stars")
@@ -272,6 +246,8 @@ def orientation_sources(
         raise ValueError("need one orientation tuple per group")
     ts = []
     for group, part in zip(spec.groups, orientation):
+        if part is None:
+            raise ValueError("group orientation is unspecified")
         if len(part) != group.count:
             raise ValueError(
                 f"need {group.count} t values for the {group.leaves}-leaf group"
@@ -290,32 +266,21 @@ def build_forest(
     """Star forest from a spec, with per-star orientations.
 
     ``orientation`` overrides the spec's own t values; it must give one
-    tuple of t values per group.  Stars are numbered consecutively
-    across groups in spec order.
+    tuple of t values per group, such as :func:`single_sink_orientation`.
+    Stars are numbered consecutively across groups in spec order.
     """
-    if orientation is not None:
-        ts = orientation_sources(spec, orientation)
-    elif spec.star_count < 2:
-        raise GraphError("a star forest needs at least two stars")
-    elif spec.pi:
-        return build_forest_pi(spec)
-    else:
-        ts = tuple(t for group in spec.groups for t in group.source_tuple())
-    return _build_from_sizes(spec.star_sizes(), ts)
+    if orientation is None:
+        orientation = tuple(group.sources for group in spec.groups)
+    return _build_from_sizes(spec.star_sizes(), orientation_sources(spec, orientation))
 
 
-def build_forest_pi(spec: ForestSpec) -> OrientedGraph:
-    """Star forest in the forced pattern: every leaf but the last points in.
+def single_sink_orientation(spec: ForestSpec) -> tuple[tuple[int, ...], ...]:
+    """The forced pattern: every leaf but the last points in.
 
     Each star keeps a single sink leaf (its highest-numbered one), i.e.
     t = n - 1 per star; single-leaf stars degenerate to t = 0.
     """
-    if not spec.pi:
-        raise ValueError("spec is not marked as a pi forest")
-    if spec.star_count < 2:
-        raise GraphError("a star forest needs at least two stars")
-    sizes = spec.star_sizes()
-    return _build_from_sizes(sizes, tuple(n - 1 for n in sizes))
+    return tuple((group.leaves - 1,) * group.count for group in spec.groups)
 
 
 def enumerate_forest_orientations(

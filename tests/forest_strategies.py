@@ -45,13 +45,13 @@ def repeated_star_forests(draw, max_vertices=9):
     leaves = draw(st.integers(min_value=1, max_value=3))
     copies = draw(st.integers(min_value=2, max_value=max_vertices // (leaves + 1)))
     t = draw(st.integers(min_value=0, max_value=leaves))
-    groups = [StarGroup(count=copies, leaves=leaves, sources=t)]
+    groups = [StarGroup(count=copies, leaves=leaves, sources=(t,) * copies)]
     room = max_vertices - copies * (leaves + 1)
     others = [n for n in range(1, room) if n != leaves]
     if others and draw(st.booleans()):
         n = draw(st.sampled_from(others))
         groups.append(
-            StarGroup(count=1, leaves=n, sources=draw(st.integers(0, n)))
+            StarGroup(count=1, leaves=n, sources=(draw(st.integers(0, n)),))
         )
     groups.sort(key=lambda group: group.leaves)
     return build_forest(ForestSpec(groups=tuple(groups)))

@@ -18,13 +18,13 @@ from antimagic import (
     SearchStatus,
     StarShape,
     build_forest,
-    build_forest_pi,
     build_homogeneous_forest,
     build_star,
     construct_pi_forest_labeling,
     enumerate_forest_orientations,
     search_joint_labeling,
     search_labeling,
+    single_sink_orientation,
     verify_labeling,
 )
 from antimagic.constructions import ANTIMAGIC, decide, homogeneous_rule, star_rule
@@ -84,13 +84,14 @@ def test_every_emitted_construction_verifies():
                     emitted += 1
 
     for text in ("2x2", "3x3", "2x3,1x4", "2x2,1x3,1x4", "3x3,2x4,1x5"):
-        spec = ForestSpec.parse(text, pi=True)
-        g = build_forest_pi(spec)
+        spec = ForestSpec.parse(text)
+        g = build_forest(spec, single_sink_orientation(spec))
         for D in PI_DISTANCE_SETS:
             labeling = construct_pi_forest_labeling(spec, D)
             assert verify_labeling(g, labeling, D).antimagic
             emitted += 1
-    assert len(build_forest_pi(ForestSpec.parse("3x3,2x4,1x5", pi=True))) == 28
+    spec = ForestSpec.parse("3x3,2x4,1x5")
+    assert len(build_forest(spec, single_sink_orientation(spec))) == 28
 
     elapsed = time.monotonic() - start
     report(f"all {emitted} emitted labelings verify, {elapsed:.1f}s")

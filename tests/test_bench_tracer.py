@@ -2,8 +2,9 @@
 
 The tracer rebinds about twenty names on ``cli``, ``constructions`` and
 ``scan`` before it runs a request.  A change that drops one of them
-breaks every traced benchmark run, so two requests run through it here:
-a construct that reaches the search, and a scan.
+breaks every traced benchmark run, so three requests run through it
+here: a construct that reaches the search, a scan, and a forest-pi
+construct, whose build the tracer must still see.
 """
 
 import json
@@ -24,8 +25,10 @@ TRACER = ROOT / "bench" / "tracer.py"
         (["construct", "--family", "mstar", "--m", "3", "--n", "4", "--t", "1",
           "--d", "0,1"], "search.call"),
         (["scan", "--spec", "2x2", "--d", "0,1"], "scan.scan"),
+        (["construct", "--family", "forest-pi", "--spec", "2x3,1x4", "--d", "0,1"],
+         "stars.build"),
     ],
-    ids=["construct-search", "scan"],
+    ids=["construct-search", "scan", "construct-forest-pi"],
 )
 def test_traced_request_runs_and_writes_spans(argv, span, tmp_path):
     spans_path = tmp_path / "spans.json"

@@ -847,6 +847,27 @@ def test_malformed_spec_is_usage_error(argv, capsys):
     assert "cannot parse forest term" in err
 
 
+@pytest.mark.parametrize(
+    "family, spec, message",
+    [
+        ("forest-pi", "2x3@1", "pi forests fix their orientation; drop @t"),
+        ("forest", "2x3", "group orientation is unspecified "
+         "(family forest needs @t on every term, e.g. 2x3@1)"),
+        ("forest-pi", "1x3", "a star forest needs at least two stars"),
+        ("forest", "1x3@1", "a star forest needs at least two stars"),
+        ("forest", "2x3@4", "t must lie in 0..3, got 4"),
+    ],
+    ids=["pi-with-t", "forest-without-t", "pi-one-star", "forest-one-star",
+         "t-past-n"],
+)
+def test_spec_orientation_errors_are_usage_errors(family, spec, message, capsys):
+    code, out, err = run_cli(
+        ["construct", "--family", family, "--spec", spec, "--d", "0,1"], capsys
+    )
+    assert (code, out) == (64, "")
+    assert err == f"antimagic construct: error: {message}\n"
+
+
 def test_scan_budget_abort_exits_three(capsys):
     code, out, _ = run_cli(
         ["scan", "--spec", "2x2", "--d", "0,1", "--budget", "1"], capsys

@@ -14,7 +14,6 @@ from antimagic import (
     StarShape,
     UnsupportedDistanceSetError,
     build_forest,
-    build_forest_pi,
     build_homogeneous_forest,
     build_star,
     characterize_star,
@@ -22,6 +21,7 @@ from antimagic import (
     construct_homogeneous_forest_labeling,
     construct_pi_forest_labeling,
     search_labeling,
+    single_sink_orientation,
     verify_labeling,
 )
 from antimagic.constructions import (
@@ -275,7 +275,7 @@ def test_pi_distance_sets():
 
 
 def test_pi_forest_labeling_pattern():
-    spec = ForestSpec.parse("3x3,2x4,1x5", pi=True)
+    spec = ForestSpec.parse("3x3,2x4,1x5")
     labeling = construct_pi_forest_labeling(spec, D012)
     sizes = spec.star_sizes()
     total = len(sizes)
@@ -293,15 +293,15 @@ def test_pi_forest_labeling_pattern():
 
 def test_pi_forest_labeling_verifies_for_all_three_sets():
     for text in ("2x2", "2x3,1x4", "3x3,2x4,1x5"):
-        spec = ForestSpec.parse(text, pi=True)
-        g = build_forest_pi(spec)
+        spec = ForestSpec.parse(text)
+        g = build_forest(spec, single_sink_orientation(spec))
         for D in PI_DISTANCE_SETS:
             labeling = construct_pi_forest_labeling(spec, D)
             assert verify_labeling(g, labeling, D).antimagic, (text, D)
 
 
 def test_pi_forest_rejects_other_sets():
-    spec = ForestSpec.parse("2x2", pi=True)
+    spec = ForestSpec.parse("2x2")
     for D in (D0, D1, D2, D12):
         with pytest.raises(UnsupportedDistanceSetError):
             construct_pi_forest_labeling(spec, D)
@@ -311,8 +311,8 @@ def test_pi_forest_of_single_leaf_stars_splits_the_two_routes():
     """Mechanically the labeling separates weights, but the decision
     level rejects sets with distance 2 because the forest's diameter
     is 1; both halves are intended behavior."""
-    spec = ForestSpec.parse("2x1", pi=True)
-    g = build_forest_pi(spec)
+    spec = ForestSpec.parse("2x1")
+    g = build_forest(spec, single_sink_orientation(spec))
     labeling = construct_pi_forest_labeling(spec, D02)
     assert verify_labeling(g, labeling, D02).antimagic
     result = search_labeling(g, D02, mode="first")

@@ -9,12 +9,12 @@ from antimagic import (
     StarGroup,
     StarShape,
     build_forest,
-    build_forest_pi,
     build_homogeneous_forest,
     build_star,
     center_vertex,
     enumerate_forest_orientations,
     leaf_vertex,
+    single_sink_orientation,
 )
 from antimagic.stars import forest_parts
 from naive_oracle import orientation_class_count, orientation_classes_from_arcs
@@ -52,14 +52,16 @@ def test_vertex_name_helpers():
 
 
 def test_star_group_source_forms():
-    assert StarGroup(count=2, leaves=3, sources=1).source_tuple() == (1, 1)
-    assert StarGroup(count=2, leaves=3, sources=(0, 3)).source_tuple() == (0, 3)
+    assert StarGroup(count=2, leaves=3, sources=[1, 1]).sources == (1, 1)
+    assert StarGroup(count=2, leaves=3, sources=(0, 3)).sources == (0, 3)
     with pytest.raises(ValueError):
         StarGroup(count=2, leaves=3, sources=(1,))
     with pytest.raises(ValueError):
-        StarGroup(count=1, leaves=3, sources=4)
-    with pytest.raises(ValueError):
-        StarGroup(count=2, leaves=3).source_tuple()
+        StarGroup(count=1, leaves=3, sources=(4,))
+    with pytest.raises(TypeError):
+        StarGroup(count=2, leaves=3, sources=1)
+    with pytest.raises(ValueError, match="group orientation is unspecified"):
+        build_forest(ForestSpec(groups=(StarGroup(count=2, leaves=3),)))
 
 
 def test_forest_spec_parse_terms():
@@ -84,8 +86,6 @@ def test_forest_spec_parse_rejects_garbage():
             ForestSpec.parse(bad)
     with pytest.raises(ValueError, match="every 3-leaf star"):
         ForestSpec.parse("1x3@0,2x3")
-    with pytest.raises(ValueError):
-        ForestSpec.parse("2x3@1", pi=True)
 
 
 def test_forest_spec_orders_groups_by_size():
@@ -101,9 +101,9 @@ def test_forest_spec_orders_groups_by_size():
 
 
 def test_forest_spec_counts():
-    spec = ForestSpec.parse("3x3,2x4,1x5", pi=True)
+    spec = ForestSpec.parse("3x3,2x4,1x5")
     assert spec.star_count == 6
-    assert spec.vertex_count == 28
+    assert len(build_forest(spec, single_sink_orientation(spec))) == 28
     assert spec.star_sizes() == (3, 3, 3, 4, 4, 5)
 
 
@@ -142,8 +142,9 @@ def test_build_homogeneous_forest_requires_two_copies():
 
 
 def test_build_forest_pi_fixes_one_sink_leaf_per_star():
-    spec = ForestSpec.parse("2x3,1x4", pi=True)
-    g = build_forest_pi(spec)
+    spec = ForestSpec.parse("2x3,1x4")
+    assert single_sink_orientation(spec) == ((2, 2), (3,))
+    g = build_forest(spec, single_sink_orientation(spec))
     for k, n in enumerate(spec.star_sizes(), start=1):
         center = f"c{k}"
         assert g.out_neighbors(center) == (f"l{k}.{n}",)
@@ -151,14 +152,10 @@ def test_build_forest_pi_fixes_one_sink_leaf_per_star():
 
 
 def test_build_forest_pi_single_leaf_stars_degenerate():
-    g = build_forest_pi(ForestSpec.parse("2x1", pi=True))
+    spec = ForestSpec.parse("2x1")
+    g = build_forest(spec, single_sink_orientation(spec))
     # one leaf means zero source leaves; the center keeps its sink leaf
     assert g.arcs == (("c1", "l1.1"), ("c2", "l2.1"))
-
-
-def test_build_forest_pi_requires_marked_spec():
-    with pytest.raises(ValueError):
-        build_forest_pi(ForestSpec.parse("2x3"))
 
 
 def test_forest_parts_list_what_the_graph_lists():

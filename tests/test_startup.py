@@ -185,9 +185,9 @@ def test_star_records_compare_hash_and_repr_by_fields():
     assert spec == ForestSpec([StarGroup(2, 3, (1, 1)), StarGroup(1, 4, (0,))])
     assert repr(spec) == (
         "ForestSpec(groups=(StarGroup(count=2, leaves=3, sources=(1, 1)), "
-        "StarGroup(count=1, leaves=4, sources=(0,))), pi=False)"
+        "StarGroup(count=1, leaves=4, sources=(0,))))"
     )
-    assert ForestSpec.parse("1x2,1x3", pi=True) != ForestSpec.parse("1x2,1x3")
+    assert ForestSpec.parse("1x2@1,1x3@2") != ForestSpec.parse("1x2,1x3")
     for record in (StarShape(3, 1), group, spec):
         assert copy.deepcopy(record) == record
         assert pickle.loads(pickle.dumps(record)) == record
@@ -212,7 +212,8 @@ def test_star_shape_orders_like_its_fields():
         (lambda: StarShape(n=2, t=-1), "t must lie in 0..n, got t=-1 for n=2"),
         (lambda: StarGroup(count=0, leaves=2), "group needs at least one star, got 0"),
         (lambda: StarGroup(count=1, leaves=0), "stars need at least one leaf, got 0"),
-        (lambda: StarGroup(count=2, leaves=3, sources=4), "t must lie in 0..3, got 4"),
+        (lambda: StarGroup(count=2, leaves=3, sources=(4, 4)),
+         "t must lie in 0..3, got 4"),
         (lambda: StarGroup(count=2, leaves=3, sources=(1,)),
          "need one t per copy: got 1 for 2 stars"),
         (lambda: StarGroup(count=2, leaves=3, sources=(1, 5)),
@@ -220,8 +221,6 @@ def test_star_shape_orders_like_its_fields():
         (lambda: ForestSpec(groups=()), "forest needs at least one group"),
         (lambda: ForestSpec(groups=(StarGroup(1, 3), StarGroup(1, 2))),
          "group leaf counts must strictly increase, got [3, 2]"),
-        (lambda: ForestSpec(groups=(StarGroup(2, 3, 1),), pi=True),
-         "pi forests fix their orientation; drop the t values"),
     ],
 )
 def test_star_record_validation_messages(build, message):
@@ -235,7 +234,7 @@ def test_records_are_immutable():
     records = [
         (StarShape(3, 1), "t"),
         (StarGroup(2, 3), "sources"),
-        (ForestSpec.parse("2x3"), "pi"),
+        (ForestSpec.parse("2x3"), "groups"),
         (WeightReport(weights={}, collisions=()), "collisions"),
         (GraphDocument.from_graph(g), "labeling"),
         (SearchResult(SearchStatus.FOUND, None, None, 1), "count"),
