@@ -47,7 +47,7 @@ from .graph import (
     VertexCapError,
     verify_labeling,
 )
-from .io import GraphDocument
+from .io import GraphDocument, json_text
 
 #: Names each handler binds from the heavier modules, on first use.
 _LAZY = {
@@ -291,7 +291,25 @@ def _ordered_labels(g: OrientedGraph, labeling) -> dict:
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    """Write ``json.dumps(payload, indent=2)`` and a newline to stdout.
+
+    The text goes out one member at a time, and a list member one item
+    at a time, so a long listing never exists as one string.
+    """
+    write = sys.stdout.write
+    head = "{\n  "
+    for key, value in payload.items():
+        write(head + json_text(key) + ": ")
+        head = ",\n  "
+        if isinstance(value, list) and value:
+            sep = "[\n    "
+            for item in value:
+                write(sep + json_text(item, level=2))
+                sep = ",\n    "
+            write("\n  ]")
+        else:
+            write(json_text(value, level=1))
+    write("\n}\n")
 
 
 def _requested_sets(args) -> list[DistanceSet]:
@@ -389,7 +407,7 @@ def _forest(args):
         )
     else:
         orientation = sources
-        params = {"spec": args.spec, "orientation": [list(part) for part in sources]}
+        params = {"spec": args.spec, "orientation": sources}
     try:
         g = build_forest(spec, orientation)
     except GraphError as exc:
@@ -447,8 +465,10 @@ def _cmd_verify(args) -> int:
             {
                 "distance_set": str(D),
                 "antimagic": report.antimagic,
-                "weights": {v: report.weights[v] for v in g.vertices},
-                "collisions": [list(pair) for pair in report.collisions],
+                # verify_labeling keys the weights in vertex order, and
+                # the collision tuples are written as arrays.
+                "weights": report.weights,
+                "collisions": report.collisions,
             }
         )
     _print_json({"antimagic": overall, "reports": reports})
@@ -558,7 +578,7 @@ def _write_scan_report(out_arg, spec_text, spec, sets, rows, table) -> None:
                     verdict.witness,
                     {
                         "spec": spec_text,
-                        "orientation": [list(part) for part in row.orientation],
+                        "orientation": row.orientation,
                         "distance_set": str(D),
                         "method": verdict.method,
                     },
@@ -568,7 +588,7 @@ def _write_scan_report(out_arg, spec_text, spec, sets, rows, table) -> None:
             cells[str(D)] = cell
         json_rows.append(
             {
-                "orientation": [list(part) for part in row.orientation],
+                "orientation": row.orientation,
                 "cells": cells,
             }
         )
@@ -577,6 +597,4 @@ def _write_scan_report(out_arg, spec_text, spec, sets, rows, table) -> None:
         "distance_sets": [str(D) for D in sets],
         "rows": json_rows,
     }
-    (out / "scan.json").write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
+    (out / "scan.json").write_text(json_text(payload) + "\n", encoding="utf-8")

@@ -1,14 +1,17 @@
 """Graph documents: lossless JSON round-trip and annotated DOT text.
 
 The JSON form keeps a fixed key order (vertices, arcs, labeling,
-metadata) so serialized documents are byte-stable.  DOT output writes
-one digraph for the whole forest with every vertex's label and one
-bracketed weight per requested distance set.
+metadata) so serialized documents are byte-stable.  Every JSON text
+the program writes comes from :func:`json_text`: the bytes of
+``json.dumps(value, indent=2)`` without its pure-Python encoder.  DOT
+output writes one digraph for the whole forest with every vertex's
+label and one bracketed weight per requested distance set.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring, encode_basestring_ascii
 from typing import NamedTuple
 
 from .graph import DistanceSet, Labeling, OrientedGraph, d_neighborhood
@@ -44,12 +47,12 @@ class GraphDocument(NamedTuple):
 
     def to_json(self) -> str:
         payload = {
-            "vertices": list(self.vertices),
-            "arcs": [list(arc) for arc in self.arcs],
+            "vertices": self.vertices,
+            "arcs": self.arcs,
             "labeling": dict(self.labeling) if self.labeling is not None else None,
             "metadata": self.metadata,
         }
-        return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+        return json_text(payload, ascii=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "GraphDocument":
@@ -126,6 +129,40 @@ class GraphDocument(NamedTuple):
             lines.append(f"  {_quote(tail)} -> {_quote(head)};")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def json_text(value, ascii: bool = True, level: int = 0) -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=ascii)``, built directly.
+
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder,
+    which keeps every token until one final join.  Here a string goes
+    through the same C escaper, an int through ``int.__repr__``, and a
+    non-empty list, tuple or str-keyed dict is one join per level; any
+    other value is left to ``json.dumps``, so no byte differs.
+    ``level`` is the indent depth the value starts at.
+    """
+    escape = encode_basestring_ascii if ascii else encode_basestring
+    if isinstance(value, str):
+        return escape(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    inner = "\n" + "  " * (level + 1)
+    # Strings in arrays and ints in objects, the common leaves here, skip
+    # the call; type() leaves subclasses and bools to the call.
+    if isinstance(value, (list, tuple)) and value:
+        items = [
+            escape(item) if type(item) is str else json_text(item, ascii, level + 1)
+            for item in value
+        ]
+        return "[" + inner + ("," + inner).join(items) + inner[:-2] + "]"
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        items = [
+            escape(key) + ": "
+            + (int.__repr__(item) if type(item) is int else json_text(item, ascii, level + 1))
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + inner[:-2] + "}"
+    return json.dumps(value, indent=2, ensure_ascii=ascii).replace("\n", inner[:-2])
 
 
 def _quote(text: str) -> str:

@@ -9,9 +9,11 @@ import pytest
 
 from antimagic import (
     DistanceSet,
+    ForestSpec,
     Labeling,
     OrientedGraph,
     StarShape,
+    build_forest,
     build_homogeneous_forest,
     build_star,
     verify_labeling,
@@ -732,10 +734,24 @@ def test_search_order_breaking_a_chain_is_an_internal_error(
          "--d", "0"],
         # a few hundred bytes, still buffered until the final flush
         ["construct", "--family", "star", "--n", "2", "--t", "1", "--d", "0,1"],
+        # ~190 kB, written one labeling at a time
+        ["search", "FOREST", "--d", "0,1", "--mode", "all"],
+        # ~1 MB: 17,955 tied pairs among the 190 sink leaves under {1}
+        ["verify", "MSTAR", "--d", "1"],
     ],
-    ids=["large", "small"],
+    ids=["large", "small", "search-all", "verify-large"],
 )
-def test_closed_stdout_pipe_exits_74_without_a_traceback(argv):
+def test_closed_stdout_pipe_exits_74_without_a_traceback(argv, tmp_path):
+    spec = ForestSpec.parse("2x3@1")
+    forest = build_forest(spec, tuple(group.sources for group in spec.groups))
+    mstar = build_homogeneous_forest(10, StarShape(n=19, t=0))
+    documents = {
+        "FOREST": GraphDocument.from_graph(forest),
+        "MSTAR": GraphDocument.from_graph(mstar, Labeling.sequential(mstar)),
+    }
+    for name, doc in documents.items():
+        (tmp_path / name).write_text(doc.to_json(), encoding="utf-8")
+    argv = [str(tmp_path / arg) if arg in documents else arg for arg in argv]
     proc = subprocess.Popen(
         [sys.executable, "-m", "antimagic", *argv],
         stdout=subprocess.PIPE,
@@ -746,6 +762,34 @@ def test_closed_stdout_pipe_exits_74_without_a_traceback(argv):
     proc.stderr.close()
     assert proc.wait() == 74
     assert err == b""
+
+
+def test_results_escape_non_ascii_while_documents_keep_utf8(tmp_path, capsys):
+    # stdout results are json.dumps(payload, indent=2), so ASCII with
+    # \uXXXX escapes; a graph document keeps its names as raw UTF-8.
+    names = {"c": "ц", "l1": "λ1", "l2": "\U0001f600"}
+    g = build_star(StarShape(n=2, t=1))
+    doc = GraphDocument(
+        vertices=tuple(names[v] for v in g.vertices),
+        arcs=tuple((names[tail], names[head]) for tail, head in g.arcs),
+        labeling=Labeling({names["c"]: 3, names["l1"]: 1, names["l2"]: 2}),
+    )
+    text = doc.to_json()
+    assert "ц" in text and "\U0001f600" in text and "\\u" not in text
+    assert text == json.dumps(json.loads(text), indent=2, ensure_ascii=False) + "\n"
+    path = tmp_path / "utf8.json"
+    path.write_text(text, encoding="utf-8")
+
+    code, out, _ = run_cli(["verify", str(path), "--d", "0,1", "--d", "2"], capsys)
+    assert code == 1
+    assert json.loads(out)["reports"][1]["collisions"] == [["ц", "\U0001f600"]]
+    code, listing, _ = run_cli(["search", str(path), "--d", "0,1", "--mode", "all"], capsys)
+    assert code == 0
+    assert json.loads(listing)["labelings"]
+    for result in (out, listing):
+        assert result.isascii()
+        assert "\\u0446" in result and "\\ud83d\\ude00" in result
+        assert result == json.dumps(json.loads(result), indent=2) + "\n"
 
 
 # -- scan -------------------------------------------------------------

@@ -1,10 +1,11 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antimagic import DistanceSet, GraphError, Labeling, StarShape, build_star
-from antimagic.io import GraphDocument
+from antimagic.io import GraphDocument, json_text
 
 from forest_strategies import small_graphs
 
@@ -55,6 +56,43 @@ def test_json_round_trip_property(g):
     h = again.graph()
     assert h.vertices == g.vertices
     assert h.arcs == g.arcs
+
+
+# Strings that need escaping: quotes, backslashes, control characters,
+# non-ASCII, a non-BMP character and a lone surrogate.
+_HARD_STRINGS = st.sampled_from(
+    ['"', "\\", "\n\t\x00\x1f\x7f", "é", "ц", "\U0001f600", "\ud800", ""]
+)
+_JSON_SCALARS = st.one_of(
+    st.text(max_size=4),
+    _HARD_STRINGS,
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+    st.none(),
+    st.floats(),  # nan and the infinities included
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=3), _HARD_STRINGS), inner, max_size=3),
+        # keys json.dumps converts: ints and bools, alone or among strings
+        st.dictionaries(
+            st.one_of(st.integers(-3, 3), st.booleans(), st.text(max_size=2)),
+            inner,
+            max_size=3,
+        ),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_JSON_VALUES)
+def test_json_text_is_json_dumps_with_indent(value):
+    for ascii in (True, False):
+        assert json_text(value, ascii) == json.dumps(value, indent=2, ensure_ascii=ascii)
 
 
 @pytest.mark.parametrize(
