@@ -73,7 +73,6 @@ _LAZY = {
     "search": (
         "SearchStatus",
         "search_joint_labeling",
-        "search_labeling",
     ),
     "scan": (
         "format_scan_table",
@@ -143,10 +142,11 @@ def _distance_set(text: str) -> DistanceSet:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _budget(text: str) -> int:
+def _count(text: str) -> int:
+    # Plain digits, as in a forest spec: int() also takes signs and underscores.
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(
-            f"budget must be a non-negative integer, got {text!r}"
+            f"must be a non-negative integer, got {text!r}"
         )
     return int(text)
 
@@ -180,14 +180,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="star K_{1,n}; mstar = m copies of one star; forest-pi = "
         "single-sink-leaf orientation; forest = explicit @t orientations",
     )
-    construct.add_argument("--n", type=int, help="leaves per star")
-    construct.add_argument("--t", type=int, help="source leaves per star")
-    construct.add_argument("--m", type=int, help="number of star copies (mstar)")
+    construct.add_argument("--n", type=_count, help="leaves per star")
+    construct.add_argument("--t", type=_count, help="source leaves per star")
+    construct.add_argument("--m", type=_count, help="number of star copies (mstar)")
     construct.add_argument("--spec", help="forest spec, e.g. 3x3,2x4 or 2x3@1")
     _add_distance_flag(construct)
     construct.add_argument("--format", choices=("json", "dot"), default="json")
     construct.add_argument(
-        "--budget", type=_budget, help="node budget for any search fallback"
+        "--budget", type=_count, help="node budget for any search fallback"
     )
     construct.set_defaults(handler=_cmd_construct)
 
@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("graph", help="graph document path, or - for stdin")
     _add_distance_flag(search)
     search.add_argument("--mode", choices=("first", "all", "count"), default="first")
-    search.add_argument("--budget", type=_budget, help="node budget; unlimited if absent")
+    search.add_argument("--budget", type=_count, help="node budget; unlimited if absent")
     search.add_argument("--no-prune", dest="prune", action="store_false")
     search.add_argument("--no-symmetry", dest="symmetry", action="store_false")
     search.set_defaults(handler=_cmd_search)
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scan.add_argument("--spec", required=True, help="forest spec without @t")
     _add_distance_flag(scan)
-    scan.add_argument("--budget", type=_budget, help="node budget per table cell")
+    scan.add_argument("--budget", type=_count, help="node budget per table cell")
     scan.add_argument(
         "--out", help="directory for the JSON table and witness files"
     )
@@ -290,13 +290,14 @@ def _ordered_labels(g: OrientedGraph, labeling) -> dict:
     return {v: labeling[v] for v in g.vertices}
 
 
-def _print_json(payload: dict) -> None:
-    """Write ``json.dumps(payload, indent=2)`` and a newline to stdout.
+def _print_json(payload: dict, file=None) -> None:
+    """Write ``json.dumps(payload, indent=2)`` and a newline to ``file``.
 
-    The text goes out one member at a time, and a list member one item
-    at a time, so a long listing never exists as one string.
+    ``file`` defaults to stdout.  The text goes out one member at a time,
+    and a list member one item at a time, so a long listing or a scan
+    report never exists as one string.
     """
-    write = sys.stdout.write
+    write = (file or sys.stdout).write
     head = "{\n  "
     for key, value in payload.items():
         write(head + json_text(key) + ": ")
@@ -597,4 +598,5 @@ def _write_scan_report(out_arg, spec_text, spec, sets, rows, table) -> None:
         "distance_sets": [str(D) for D in sets],
         "rows": json_rows,
     }
-    (out / "scan.json").write_text(json_text(payload) + "\n", encoding="utf-8")
+    with open(out / "scan.json", "w", encoding="utf-8") as file:
+        _print_json(payload, file)

@@ -53,10 +53,11 @@ def vertex_cap() -> int:
     raw = os.environ.get(ENV_VERTEX_CAP)
     if raw is None:
         return DEFAULT_VERTEX_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise VertexCapError(f"{ENV_VERTEX_CAP} must be an integer, got {raw!r}") from None
+    if not raw.isdecimal():
+        raise VertexCapError(
+            f"{ENV_VERTEX_CAP} must be an integer of plain digits, got {raw!r}"
+        )
+    return int(raw)
 
 
 class UnsupportedDistanceSetError(ValueError):
@@ -89,10 +90,10 @@ class DistanceSet:
 
     @classmethod
     def parse(cls, text: str) -> "DistanceSet":
-        try:
-            return cls(int(part) for part in text.split(","))
-        except ValueError as exc:
-            raise ValueError(f"cannot parse distance set {text!r}: {exc}") from None
+        parts = [part.strip() for part in text.split(",")]
+        if not all(part.isdecimal() for part in parts):
+            raise ValueError(f"cannot parse distance set {text!r}: use plain digits")
+        return cls(map(int, parts))
 
     @property
     def smallest(self) -> int:

@@ -7,15 +7,15 @@ result deterministic.  Large labels first make large, spread-out
 weights, so ``first`` mode rarely backtracks.  Free labels sit in a
 doubly linked list, so stepping to the next one costs O(1).
 
-The order is fixed before the search starts, and with it the depth at
-which each weight becomes final: the member of a D-neighborhood placed
-last closes that weight, and every other member only adds its label to
-a partial sum.  This close schedule is computed once per search, and
-only closing a weight touches the table of final weights.  At the last
-depth a single free label is left; it is tested in place (against the
-chain predecessor, the budget, and the weights it closes, both against
-the final ones and against each other), then counted or recorded
-without being placed.
+The order is fixed before a run starts, and with it the depth at which
+each weight becomes final: the member of a D-neighborhood placed last
+closes that weight, and every other member only adds its label to a
+partial sum.  ``_Engine._schedule`` derives this close schedule from
+the order before each run, and only closing a weight touches the table
+of final weights.  At the last depth a single free label is left; it
+is tested in place (against the chain predecessor, the budget, and the
+weights it closes, both against the final ones and against each
+other), then counted or recorded without being placed.
 
 With pruning on, a partial assignment is cut as soon as two final
 weights collide, or as soon as an unused label equals a final weight
@@ -132,9 +132,6 @@ class _Engine:
         # Largest D-neighborhoods first; the sort is stable, so ties
         # keep index order.
         self.order = sorted(range(self.n), key=degree.__getitem__, reverse=True)
-        self.self_only = [
-            [nb == (v,) for v, nb in enumerate(nbs)] for nbs in self.nbs
-        ]
         self.orbit_prev = [-1] * self.n
         self.symmetry_order = 1
         if symmetry:
@@ -237,18 +234,13 @@ class _Engine:
                 self.orbit_prev[nxt] = prev
             self.symmetry_order *= factorial(len(family))
 
-    def run(self, mode: str, budget: int | None) -> bool:
-        """One DFS from the empty assignment; True if the budget ran out.
+    def _schedule(self) -> tuple:
+        """Every table that ``order`` fixes, with fresh final-weight dicts.
 
-        The DFS keeps an explicit stack: ``order[depth]`` is the vertex
-        placed at each depth.  Labels go from high to low along a doubly
-        linked list of free labels, and a vertex with an orbit
-        predecessor takes a label below the predecessor's.  Raises
-        RuntimeError if ``order`` places a vertex before its orbit
+        Raises RuntimeError if ``order`` places a vertex before its chain
         predecessor.
         """
-        n, order, prune = self.n, self.order, self.prune
-        orbit_prev = self.orbit_prev
+        n, order = self.n, self.order
         last = n - 1
         pos = [0] * n
         for depth, v in enumerate(order):
@@ -258,7 +250,7 @@ class _Engine:
         # chain predecessor is placed before its successor.
         room = [0] * n
         for v in range(last, -1, -1):
-            prev = orbit_prev[v]
+            prev = self.orbit_prev[v]
             if prev >= 0:
                 if pos[prev] > pos[v]:
                     raise RuntimeError(
@@ -266,15 +258,6 @@ class _Engine:
                         f"chain predecessor {self.verts[prev]!r}"
                     )
                 room[prev] = room[v] + 1
-        label_of = [0] * n
-        used = [False] * (n + 1)
-        # Free labels, linked both ways: down[l] is the next smaller free
-        # label, up[l] the next larger; 0 and n + 1 are the sentinels.
-        # Labels are unlinked and relinked last-in first-out, so a used
-        # label keeps pointers that still lead down to the free list.
-        down = list(range(-1, n + 1))
-        up = list(range(1, n + 3))
-        finals: list[dict[int, int]] = [{} for _ in self.nbs]
         # Dead-label prune: once every vertex after ``depth`` in the order
         # is its own whole D-neighborhood (weight = label), an unused
         # label equal to a final weight is doomed.  After placing at the
@@ -282,31 +265,32 @@ class _Engine:
         # finals in sweep[depth].  The search only goes deeper when no
         # label is dead, so further down a dead label can only be a weight
         # just closed, and the close loop checks those.
-        first_check = [n] * self.k
         sweep: list[tuple[dict, ...]] = [()] * n
-        if prune:
-            for d, self_only in enumerate(self.self_only):
-                depth = last
-                while depth >= 0 and self_only[order[depth]]:
-                    depth -= 1
-                if depth < last:
-                    first_check[d] = depth = max(depth, 0)
-                    sweep[depth] += (finals[d],)
         # Close schedule: a weight is final once the member of its
         # D-neighborhood placed last has its label.  That vertex closes
         # the flat slot d * n + w (weight of w under set d); every other
         # member only adds its label to partial[slot].  A close flagged
         # True lies past the set's first check depth, where the weight
-        # it closes must not be a free label.
-        partial = [0] * (self.k * n)
+        # it closes must not be a free label.  The last vertex closes
+        # every slot it is in; last_closes groups those by set, to test
+        # its one free label against finals and against each other.
         adds: list[list[int]] = [[] for _ in range(n)]
         closes: list[list[tuple]] = [[] for _ in range(n)]
+        last_closes = []
         conflicts = 0
         slot = 0
         depth_of = pos.__getitem__
-        for d, nbs in enumerate(self.nbs):
-            fin = finals[d]
-            first = first_check[d]
+        for nbs in self.nbs:
+            fin: dict[int, int] = {}
+            first = n
+            if self.prune:
+                depth = last
+                while depth >= 0 and nbs[order[depth]] == (order[depth],):
+                    depth -= 1
+                if depth < last:
+                    first = depth = max(depth, 0)
+                    sweep[depth] += (fin,)
+            slots = []
             for nb in nbs:
                 if not nb:
                     # An empty neighborhood weighs 0 from the start.
@@ -322,14 +306,34 @@ class _Engine:
                         if u != closer:
                             adds[u].append(slot)
                 closes[closer].append((slot, fin, pos[closer] > first))
+                if pos[closer] == last:
+                    slots.append(slot)
                 slot += 1
-        # The last vertex closes every slot it is in; group them by set to
-        # test its one free label against finals and against each other.
-        last_closes = []
-        for fin in finals:
-            slots = [s for s, f, _ in closes[order[last]] if f is fin]
             if slots:
                 last_closes.append((slots, fin))
+        return room, sweep, adds, closes, last_closes, conflicts
+
+    def run(self, mode: str, budget: int | None) -> bool:
+        """One DFS from the empty assignment; True if the budget ran out.
+
+        The DFS keeps an explicit stack: ``order[depth]`` is the vertex
+        placed at each depth.  Labels go from high to low along a doubly
+        linked list of free labels, and a vertex with an orbit
+        predecessor takes a label below the predecessor's.
+        """
+        n, order, prune = self.n, self.order, self.prune
+        orbit_prev = self.orbit_prev
+        room, sweep, adds, closes, last_closes, conflicts = self._schedule()
+        last = n - 1
+        label_of = [0] * n
+        used = [False] * (n + 1)
+        # Free labels, linked both ways: down[l] is the next smaller free
+        # label, up[l] the next larger; 0 and n + 1 are the sentinels.
+        # Labels are unlinked and relinked last-in first-out, so a used
+        # label keeps pointers that still lead down to the free list.
+        down = list(range(-1, n + 1))
+        up = list(range(1, n + 3))
+        partial = [0] * (self.k * n)
         verts = self.verts
         self.count = 0
         self.witness: dict | None = None
@@ -506,15 +510,6 @@ def search_joint_labeling(
                 shortcut=UNFIT_DISTANCE_SET,
                 labelings=() if mode == "all" else None,
             )
-    if n == 0:
-        empty = Labeling({})
-        return SearchResult(
-            status=SearchStatus.FOUND,
-            witness=empty,
-            count=1 if mode in ("all", "count") else None,
-            nodes_explored=1,
-            labelings=(empty,) if mode == "all" else None,
-        )
     engine = _Engine(g, sets, prune, symmetry)
     aborted = engine.run(mode, budget)
     # The empty root counts as a visited node.

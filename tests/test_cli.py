@@ -116,12 +116,19 @@ def test_construct_unsupported_distance_set(capsys):
     assert "never exceed 2" in err
 
 
-def test_construct_malformed_distance_set(capsys):
-    code, _, _ = run_cli(
-        ["construct", "--family", "star", "--n", "3", "--t", "1", "--d", "x"],
+@pytest.mark.parametrize(
+    "text",
+    ["x", "1_0", "+0,1", "-1"],
+    ids=["x", "underscore", "plus", "minus"],
+)
+def test_construct_malformed_distance_set(text, capsys):
+    # Members are plain digits; int() would read 1_0 as 10 and +0 as 0.
+    code, out, err = run_cli(
+        ["construct", "--family", "star", "--n", "3", "--t", "1", "--d", text],
         capsys,
     )
-    assert code == 64
+    assert (code, out) == (64, "")
+    assert "cannot parse distance set" in err
 
 
 def test_construct_pi_forest(capsys):
@@ -547,6 +554,18 @@ def test_search_unfit_distance_set_shortcut(tmp_path, capsys):
     assert payload["nodes_explored"] == 0
 
 
+def test_search_empty_graph_exits_two(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text('{"vertices": [], "arcs": []}', encoding="utf-8")
+    for mode in ("first", "count", "all"):
+        code, out, _ = run_cli(["search", str(path), "--d", "0", "--mode", mode], capsys)
+        assert code == 2, mode
+        payload = json.loads(out)
+        assert payload["status"] == "exhausted-none"
+        assert payload["shortcut"] == "distance-set-exceeds-diameter"
+        assert payload["nodes_explored"] == 0
+
+
 def test_search_budget_abort_exits_three(tmp_path, capsys):
     path, _ = write_star_doc(tmp_path, 2, 1)
     code, out, _ = run_cli(
@@ -929,8 +948,16 @@ def test_scan_budget_abort_exits_three(capsys):
         ["construct", "--family", "mstar", "--m", "2", "--n", "3", "--t", "1",
          "--d", "0,1", "--budget", "-3"],
         ["scan", "--spec", "2x2", "--d", "0,1", "--budget", "-1"],
+        # --n, --t and --m share the budget's rule: int() would read
+        # 0_3 as 3 and +2 as 2.
+        ["search", "GRAPH", "--d", "0,1", "--budget", "1_0"],
+        ["construct", "--family", "star", "--n", "0_3", "--t", "1", "--d", "0,1"],
+        ["construct", "--family", "star", "--n", "3", "--t", "-1", "--d", "0,1"],
+        ["construct", "--family", "mstar", "--m", "+2", "--n", "3", "--t", "1",
+         "--d", "0,1"],
     ],
-    ids=["search", "construct", "scan"],
+    ids=["search", "construct", "scan", "search-underscore", "construct-n",
+         "construct-t", "construct-m"],
 )
 def test_negative_budget_is_usage_error(argv, tmp_path, capsys):
     path, _ = write_star_doc(tmp_path, 2, 1)
@@ -941,22 +968,33 @@ def test_negative_budget_is_usage_error(argv, tmp_path, capsys):
     assert "non-negative" in err
 
 
+SEARCH_COUNT = ["search", "GRAPH", "--d", "0,1", "--mode", "count"]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, cap",
     [
-        ["search", "GRAPH", "--d", "0,1", "--mode", "count"],
-        ["construct", "--family", "forest", "--spec", "2x2@1", "--d", "0,1"],
-        ["scan", "--spec", "2x2", "--d", "0,1"],
-        ["construct", "--family", "star", "--n", "3", "--t", "1", "--d", "0,1"],
-        ["construct", "--family", "mstar", "--m", "2", "--n", "3", "--t", "2",
-         "--d", "0,1"],
-        ["construct", "--family", "forest-pi", "--spec", "2x3", "--d", "0,1"],
+        (SEARCH_COUNT, "abc"),
+        (["construct", "--family", "forest", "--spec", "2x2@1", "--d", "0,1"], "abc"),
+        (["scan", "--spec", "2x2", "--d", "0,1"], "abc"),
+        (["construct", "--family", "star", "--n", "3", "--t", "1", "--d", "0,1"],
+         "abc"),
+        (["construct", "--family", "mstar", "--m", "2", "--n", "3", "--t", "2",
+          "--d", "0,1"], "abc"),
+        (["construct", "--family", "forest-pi", "--spec", "2x3", "--d", "0,1"],
+         "abc"),
+        # int() takes all of these; a cap is plain digits.
+        (SEARCH_COUNT, "-3"),
+        (SEARCH_COUNT, "1_0"),
+        (SEARCH_COUNT, "+20"),
+        (SEARCH_COUNT, " 20"),
     ],
     ids=["search", "construct", "scan", "construct-star", "construct-mstar",
-         "construct-forest-pi"],
+         "construct-forest-pi", "search-minus", "search-underscore",
+         "search-plus", "search-blank"],
 )
-def test_malformed_vertex_cap_is_usage_error(argv, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ANTIMAGIC_NODE_CAP", "abc")
+def test_malformed_vertex_cap_is_usage_error(argv, cap, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ANTIMAGIC_NODE_CAP", cap)
     path, _ = write_star_doc(tmp_path, 2, 1)
     argv = [str(path) if arg == "GRAPH" else arg for arg in argv]
     code, _, err = run_cli(argv, capsys)

@@ -32,6 +32,7 @@ def test_distance_set_parse_round_trip():
     D = DistanceSet.parse("0,1,2")
     assert D.members == (0, 1, 2)
     assert DistanceSet.parse(str(D)[1:-1]) == D
+    assert DistanceSet.parse(" 2, 0") == DistanceSet([0, 2])
 
 
 def test_distance_set_rejects_bad_members():
@@ -43,8 +44,9 @@ def test_distance_set_rejects_bad_members():
         DistanceSet([0, 1.5])
     with pytest.raises(ValueError):
         DistanceSet([True])
-    with pytest.raises(ValueError):
-        DistanceSet.parse("0,x")
+    for text in ("0,x", "1_0", "+0,1", "-1", "0,,1"):
+        with pytest.raises(ValueError, match="cannot parse distance set"):
+            DistanceSet.parse(text)
 
 
 def test_distance_set_of_passes_through():

@@ -147,6 +147,20 @@ def test_unfit_distance_set_shortcuts_to_exhausted():
     assert result.shortcut == UNFIT_DISTANCE_SET
 
 
+def test_the_empty_graph_takes_the_diameter_shortcut():
+    # No vertex means no finite diameter, so no set fits and the search
+    # never starts.
+    g = OrientedGraph([], [])
+    for mode in ("first", "count", "all"):
+        result = search_labeling(g, {0}, mode=mode)
+        assert result.status is SearchStatus.EXHAUSTED
+        assert result.witness is None
+        assert result.count == (None if mode == "first" else 0)
+        assert result.labelings == (() if mode == "all" else None)
+        assert result.nodes_explored == 0
+        assert result.shortcut == UNFIT_DISTANCE_SET
+
+
 def test_refute_confirms_no_distance_two_labeling():
     g = build_star(StarShape(n=3, t=1))
     result = search_labeling(g, {2}, mode="first")
@@ -361,6 +375,31 @@ def test_the_order_places_every_chain_predecessor_first(g, distance_sets):
         if prev >= 0:
             assert depth[prev] < depth[v]
     engine.run("count", 0)  # the guard passes; the budget stops at once
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    oriented_graphs(max_vertices=7),
+    st.lists(
+        st.sets(st.integers(0, 3), min_size=1).map(sorted), min_size=1, max_size=2
+    ),
+)
+def test_an_engine_runs_again_like_a_fresh_one(g, distance_sets):
+    # Index order respects every chain (orbit_prev[v] < v), so it can
+    # replace the degree order between runs.  Nothing of the first run,
+    # above all its tables of final weights, may reach the next.
+    sets = tuple(DistanceSet.of(D) for D in distance_sets)
+    engine = _Engine(g, sets, True, True)
+    engine.run("count", None)
+    engine.order = list(range(len(g)))
+    for mode in ("count", "first"):
+        fresh = _Engine(g, sets, True, True)
+        fresh.order = list(range(len(g)))
+        outcomes = []
+        for e in (engine, fresh):
+            e.run(mode, None)
+            outcomes.append((e.count, e.nodes, e.witness, e.symmetry_order))
+        assert outcomes[0] == outcomes[1], mode
 
 
 def test_an_order_breaking_a_chain_is_an_internal_error():
