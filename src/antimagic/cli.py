@@ -35,6 +35,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import repeat
 from pathlib import Path
 
 from .graph import (
@@ -143,8 +144,8 @@ def _distance_set(text: str) -> DistanceSet:
 
 
 def _count(text: str) -> int:
-    # Plain digits, as in a forest spec: int() also takes signs and underscores.
-    if not text.isdecimal():
+    # Plain ASCII digits: int() also takes signs, underscores and other scripts.
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(
             f"must be a non-negative integer, got {text!r}"
         )
@@ -293,24 +294,35 @@ def _ordered_labels(g: OrientedGraph, labeling) -> dict:
 def _print_json(payload: dict, file=None) -> None:
     """Write ``json.dumps(payload, indent=2)`` and a newline to ``file``.
 
-    ``file`` defaults to stdout.  The text goes out one member at a time,
-    and a list member one item at a time, so a long listing or a scan
-    report never exists as one string.
+    ``file`` defaults to stdout.  A list or object that holds lists or
+    objects goes out one item at a time, at every depth, so a long
+    listing, a scan report or a verify report's collisions never exist
+    as one string.
     """
     write = (file or sys.stdout).write
-    head = "{\n  "
-    for key, value in payload.items():
-        write(head + json_text(key) + ": ")
-        head = ",\n  "
-        if isinstance(value, list) and value:
-            sep = "[\n    "
-            for item in value:
-                write(sep + json_text(item, level=2))
-                sep = ",\n    "
-            write("\n  ]")
-        else:
-            write(json_text(value, level=1))
-    write("\n}\n")
+    _write_json(write, payload, 0, "")
+    write("\n")
+
+
+def _write_json(write, value, level: int, head: str) -> None:
+    # head is the text due before value: a separator and, in an object,
+    # its key.  A container of plain values is one json_text call.
+    items = ()
+    if isinstance(value, dict) and all(map(isinstance, value, repeat(str))):
+        items = value.values()
+    elif isinstance(value, (list, tuple)):
+        items = value
+    if not any(map(isinstance, items, repeat((dict, list, tuple)))):
+        write(head + json_text(value, level=level))
+        return
+    inner = "\n" + "  " * (level + 1)
+    ends = "[]" if items is value else "{}"
+    keys = repeat("") if items is value else (json_text(key) + ": " for key in value)
+    head += ends[0] + inner
+    for key, item in zip(keys, items):
+        _write_json(write, item, level + 1, head + key)
+        head = "," + inner
+    write(inner[:-2] + ends[1])
 
 
 def _requested_sets(args) -> list[DistanceSet]:
@@ -561,6 +573,9 @@ def _write_scan_report(out_arg, spec_text, spec, sets, rows, table) -> None:
         # The row's vertices and arcs, listed without building its graph
         # again: the graph's all-pairs distances are not needed here.
         parts = forest_parts(sizes, tuple(t for part in row.orientation for t in part))
+        # One file per distinct witness of the row (a Labeling hashes by
+        # its labels), named after the first column it serves.
+        files = {}
         for c, D in enumerate(sets):
             verdict = row.verdicts[D]
             cell = {
@@ -573,20 +588,17 @@ def _write_scan_report(out_arg, spec_text, spec, sets, rows, table) -> None:
                 "witness": None,
             }
             if verdict.witness is not None:
-                name = f"witness-{r:03d}-{c}.json"
-                doc = GraphDocument(
-                    *parts,
-                    verdict.witness,
-                    {
-                        "spec": spec_text,
-                        "orientation": row.orientation,
-                        "distance_set": str(D),
-                        "method": verdict.method,
-                    },
+                name, served = files.setdefault(
+                    (verdict.method, verdict.witness), (f"witness-{r:03d}-{c}.json", [])
                 )
-                (out / name).write_text(doc.to_json(), encoding="utf-8")
+                served.append(str(D))
                 cell["witness"] = name
             cells[str(D)] = cell
+        for (method, witness), (name, served) in files.items():
+            metadata = {"spec": spec_text, "orientation": row.orientation,
+                        "distance_sets": served, "method": method}
+            doc = GraphDocument(*parts, witness, metadata)
+            (out / name).write_text(doc.to_json(), encoding="utf-8")
         json_rows.append(
             {
                 "orientation": row.orientation,

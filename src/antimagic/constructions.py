@@ -4,8 +4,9 @@ Oriented stars are fully characterized for every distance set with
 maximum at most 2; star forests have closed-form labelings for the
 orientation families where one is known.  :func:`decide` answers every
 construct and scan question the same way: a refusal by theorem or by
-the graph's shape, else a closed form, else the exhaustive search
-oracle, which is loaded only when a question reaches it.
+the graph's shape, else a closed form, else a witness the caller
+already found for the graph, else the exhaustive search oracle, which
+is loaded only when a question reaches it.
 
 Every labeling returned here passed the verifier first; a closed form
 never reaches a caller unverified.
@@ -135,7 +136,9 @@ def _gate(g: OrientedGraph, labels: dict, D: DistanceSet) -> Labeling | None:
 
 # -- the decision ladder ----------------------------------------------
 
-def decide(g: OrientedGraph, sets, rule: Rule, budget: int | None = None) -> Verdict:
+def decide(
+    g: OrientedGraph, sets, rule: Rule, budget: int | None = None, known=()
+) -> Verdict:
     """Is g antimagic under every given distance set at once?
 
     One ladder, tried in order:
@@ -146,7 +149,10 @@ def decide(g: OrientedGraph, sets, rule: Rule, budget: int | None = None) -> Ver
     2. the first closed form, gated by the verifier under its own set,
        that is antimagic under every set (under {0} a weight is the
        vertex's own label, so the sequential labeling serves);
-    3. one search over all the sets, its witness gated too.
+    3. the witness of the first earlier verdict on g in ``known`` that
+       the verifier passes under every set, with that verdict's method
+       and no search of its own;
+    4. one search over all the sets, its witness gated too.
 
     ``budget`` caps that search; without one, a graph above
     :func:`vertex_cap` gets ``DEFAULT_CELL_BUDGET`` and a smaller one
@@ -176,6 +182,11 @@ def decide(g: OrientedGraph, sets, rule: Rule, budget: int | None = None) -> Ver
             raise RuntimeError(f"closed form failed verification under {D}")
         if all(verify_labeling(g, labeling, E).antimagic for E in sets if E != D):
             return Verdict(ANTIMAGIC, BY_CONSTRUCTION, witness=labeling)
+    for earlier in known:
+        if earlier.witness is not None and all(
+            verify_labeling(g, earlier.witness, D).antimagic for D in sets
+        ):
+            return Verdict(ANTIMAGIC, earlier.method, witness=earlier.witness)
     if len(sets) == 1:
         result = search_labeling(g, sets[0], mode="first", budget=budget)
     else:

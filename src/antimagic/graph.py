@@ -53,7 +53,7 @@ def vertex_cap() -> int:
     raw = os.environ.get(ENV_VERTEX_CAP)
     if raw is None:
         return DEFAULT_VERTEX_CAP
-    if not raw.isdecimal():
+    if not (raw.isascii() and raw.isdecimal()):
         raise VertexCapError(
             f"{ENV_VERTEX_CAP} must be an integer of plain digits, got {raw!r}"
         )
@@ -91,7 +91,7 @@ class DistanceSet:
     @classmethod
     def parse(cls, text: str) -> "DistanceSet":
         parts = [part.strip() for part in text.split(",")]
-        if not all(part.isdecimal() for part in parts):
+        if not all(part.isascii() and part.isdecimal() for part in parts):
             raise ValueError(f"cannot parse distance set {text!r}: use plain digits")
         return cls(map(int, parts))
 

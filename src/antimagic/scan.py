@@ -2,10 +2,11 @@
 
 Each cell of the resulting table is one :func:`~antimagic.constructions.decide`
 question: the positive-minimum-distance obstruction, the distance-set
-fit against the forest's diameter, a known closed-form labeling, and
-finally the backtracking oracle (exhaustive within the vertex cap,
-budgeted beyond it).  Verdicts are backed by a verified witness or by
-recorded exhaustion; budget-limited cells stay honestly undecided.
+fit against the forest's diameter, a known closed-form labeling, a
+witness already found for another set of the same row, and finally the
+backtracking oracle (exhaustive within the vertex cap, budgeted beyond
+it).  Verdicts are backed by a verified witness or by recorded
+exhaustion; budget-limited cells stay honestly undecided.
 
 The tables are empirical surveys of the scanned instances, not general
 statements about larger forests.
@@ -52,18 +53,23 @@ def scan_orientations(
     """One row per orientation class, one verdict per distance set.
 
     Rows follow the canonical enumeration order and columns the given
-    distance set order, so repeated scans are identical.
+    distance set order, so repeated scans are identical.  A row decides
+    its sets widest first (ties in column order), each reusing a witness
+    the row already found if it verifies: one for {0,1,2} often serves.
     """
     sets = [DistanceSet.of(D) for D in distance_sets]
     if not sets:
         raise ValueError("need at least one distance set")
+    widest_first = sorted(sets, key=lambda D: -len(D.members))
     sizes = spec.star_sizes()
     rows = []
     for orientation in enumerate_forest_orientations(spec):
         g = build_forest(spec, orientation)
         rule = forest_rule(sizes, orientation_sources(spec, orientation))
-        verdicts = {D: decide(g, (D,), rule, budget) for D in sets}
-        rows.append(ScanRow(orientation=orientation, verdicts=verdicts))
+        found = {}
+        for D in widest_first:
+            found[D] = decide(g, (D,), rule, budget, known=tuple(found.values()))
+        rows.append(ScanRow(orientation, {D: found[D] for D in sets}))
     return rows
 
 

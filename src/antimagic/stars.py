@@ -143,10 +143,10 @@ class ForestSpec(_Record):
             term = term.strip()
             body, at, t_part = term.partition("@")
             count_part, sep, leaves_part = body.partition("x")
-            # Plain decimal digits only: int() would also take signs,
-            # spaces and underscores.
+            # Plain ASCII digits only: int() would also take signs,
+            # spaces, underscores and any other script's digits.
             fields = (count_part, leaves_part, t_part) if at else (count_part, leaves_part)
-            if not sep or not all(field.isdecimal() for field in fields):
+            if not sep or not all(f.isascii() and f.isdecimal() for f in fields):
                 raise ValueError(f"cannot parse forest term {term!r}")
             count = int(count_part)
             leaves = int(leaves_part)

@@ -118,11 +118,12 @@ def test_construct_unsupported_distance_set(capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ["x", "1_0", "+0,1", "-1"],
-    ids=["x", "underscore", "plus", "minus"],
+    ["x", "1_0", "+0,1", "-1", "\u0661,\u0662"],
+    ids=["x", "underscore", "plus", "minus", "arabic-indic"],
 )
 def test_construct_malformed_distance_set(text, capsys):
-    # Members are plain digits; int() would read 1_0 as 10 and +0 as 0.
+    # Members are plain ASCII digits; int() would read 1_0 as 10, +0 as 0
+    # and the Arabic-Indic digits of the last case as 1 and 2.
     code, out, err = run_cli(
         ["construct", "--family", "star", "--n", "3", "--t", "1", "--d", text],
         capsys,
@@ -409,6 +410,39 @@ def test_verify_collision_exits_one(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["antimagic"] is False
     assert payload["reports"][0]["collisions"] == [["l1", "l2"]]
+
+
+def test_verify_streams_collisions_as_json_dumps_would(tmp_path, capsys):
+    from antimagic.cli import _print_json
+
+    path, g = write_star_doc(tmp_path, 5, 2, labeling=None)
+    labeling = Labeling.sequential(g)
+    reports = []
+    for D in (DistanceSet.of([1]), DistanceSet.of([2])):
+        report = verify_labeling(g, labeling, D)
+        assert len(report.collisions) > 1
+        reports.append(
+            {
+                "distance_set": str(D),
+                "antimagic": False,
+                "weights": report.weights,
+                "collisions": report.collisions,
+            }
+        )
+    payload = {"antimagic": False, "reports": reports}
+    expected = json.dumps(payload, indent=2) + "\n"
+    inline = json.dumps(dict(labeling))
+    code, out, _ = run_cli(
+        ["verify", str(path), "--labeling", inline, "--d", "1", "--d", "2"], capsys
+    )
+    assert (code, out) == (1, expected)
+    # One write per colliding pair: no piece ends one pair and starts another.
+    pieces = []
+    _print_json(payload, SimpleNamespace(write=pieces.append))
+    assert "".join(pieces) == expected
+    pairs = sum(len(report["collisions"]) for report in reports)
+    assert len(pieces) > pairs
+    assert not any("]," in piece for piece in pieces)
 
 
 def test_verify_mixed_sets_worst_case_wins(tmp_path, capsys):
@@ -853,9 +887,10 @@ def test_scan_writes_report_files(tmp_path, capsys):
         assert bad["witness"] is None
 
 
-# SHA-256 over the reference scan report (432 witness files, scan.json
-# and scan.txt), each file as name, NUL, bytes, NUL, in name order.
-SCAN_REPORT_DIGEST = "52dde3ce07e35bb9f99b25790fc26197d33bd30f653568780ac2edb83434129b"
+# SHA-256 over the reference scan report (243 witness files, one per
+# distinct witness of a row, scan.json and scan.txt), each file as
+# name, NUL, bytes, NUL, in name order.
+SCAN_REPORT_DIGEST = "c77ffda92a2dc279f28c809221151765b2484bb17aadbe4bc0d6f0c6197fd22a"
 
 
 def test_reference_scan_report_is_byte_stable(tmp_path, capsys, monkeypatch):
@@ -877,10 +912,45 @@ def test_reference_scan_report_is_byte_stable(tmp_path, capsys, monkeypatch):
     files = sorted(out_dir.iterdir())
     for path in files:
         digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
-    assert len(files) == 434
+    assert len(files) == 245
     assert digest.hexdigest() == SCAN_REPORT_DIGEST
     # One forest per row, in the scan; the report writer builds none.
     assert len(builds) == 150
+
+
+def test_scan_report_writes_each_distinct_witness_once(tmp_path, capsys):
+    out_dir = tmp_path / "report"
+    argv = ["scan", "--spec", "2x3,2x4", "--d", "0,1", "--d", "0,2", "--d", "0,1,2"]
+    code, _, _ = run_cli(argv + ["--out", str(out_dir)], capsys)
+    assert code == 0
+    payload = json.loads((out_dir / "scan.json").read_text(encoding="utf-8"))
+    written = {"scan.json", "scan.txt"}
+    reused = 0
+    for r, row in enumerate(payload["rows"]):
+        served = {}
+        for c, (text, cell) in enumerate(row["cells"].items()):
+            if cell["witness"] is None:
+                continue
+            served.setdefault(cell["witness"], []).append((c, text, cell))
+        for name, cells in served.items():
+            # Named after the first column it serves.
+            assert name == f"witness-{r:03d}-{cells[0][0]}.json"
+            doc = GraphDocument.from_json((out_dir / name).read_text(encoding="utf-8"))
+            assert doc.metadata["distance_sets"] == [text for _, text, _ in cells]
+            assert "distance_set" not in doc.metadata
+            g = doc.graph()
+            for _, text, cell in cells:
+                D = DistanceSet.parse(text.strip("{}"))
+                assert verify_labeling(g, doc.labeling, D).antimagic
+                assert cell["method"] == doc.metadata["method"]
+            # One cell searched for a found witness; the cells reusing it
+            # searched nothing.
+            searched = [cell["nodes_explored"] > 0 for _, _, cell in cells]
+            assert sum(searched) == (doc.metadata["method"] == "search")
+            reused += len(cells) - 1
+        written.update(served)
+    assert reused > 0
+    assert {path.name for path in out_dir.iterdir()} == written
 
 
 def test_scan_rejects_oriented_specs(capsys):
@@ -900,8 +970,10 @@ def test_scan_rejects_single_star(capsys):
         ["scan", "--spec", "2x2@", "--d", "0,1"],
         ["construct", "--family", "forest-pi", "--spec", "2x2@", "--d", "0,1"],
         ["construct", "--family", "forest", "--spec", "2x2@", "--d", "0,1"],
+        # An Arabic-Indic 2: str.isdecimal() alone takes it.
+        ["scan", "--spec", "\u0662x3,2x4", "--d", "0,1"],
     ],
-    ids=["scan", "forest-pi", "forest"],
+    ids=["scan", "forest-pi", "forest", "scan-arabic-indic"],
 )
 def test_malformed_spec_is_usage_error(argv, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -955,9 +1027,11 @@ def test_scan_budget_abort_exits_three(capsys):
         ["construct", "--family", "star", "--n", "3", "--t", "-1", "--d", "0,1"],
         ["construct", "--family", "mstar", "--m", "+2", "--n", "3", "--t", "1",
          "--d", "0,1"],
+        # An Arabic-Indic 3, which int() reads as 3.
+        ["construct", "--family", "star", "--n", "\u0663", "--t", "1", "--d", "0,1"],
     ],
     ids=["search", "construct", "scan", "search-underscore", "construct-n",
-         "construct-t", "construct-m"],
+         "construct-t", "construct-m", "construct-n-arabic-indic"],
 )
 def test_negative_budget_is_usage_error(argv, tmp_path, capsys):
     path, _ = write_star_doc(tmp_path, 2, 1)
@@ -988,10 +1062,11 @@ SEARCH_COUNT = ["search", "GRAPH", "--d", "0,1", "--mode", "count"]
         (SEARCH_COUNT, "1_0"),
         (SEARCH_COUNT, "+20"),
         (SEARCH_COUNT, " 20"),
+        (SEARCH_COUNT, "\u0661\u0660"),
     ],
     ids=["search", "construct", "scan", "construct-star", "construct-mstar",
          "construct-forest-pi", "search-minus", "search-underscore",
-         "search-plus", "search-blank"],
+         "search-plus", "search-blank", "search-arabic-indic"],
 )
 def test_malformed_vertex_cap_is_usage_error(argv, cap, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ANTIMAGIC_NODE_CAP", cap)

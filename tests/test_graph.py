@@ -44,7 +44,7 @@ def test_distance_set_rejects_bad_members():
         DistanceSet([0, 1.5])
     with pytest.raises(ValueError):
         DistanceSet([True])
-    for text in ("0,x", "1_0", "+0,1", "-1", "0,,1"):
+    for text in ("0,x", "1_0", "+0,1", "-1", "0,,1", "\u0661,\u0662"):
         with pytest.raises(ValueError, match="cannot parse distance set"):
             DistanceSet.parse(text)
 

@@ -80,7 +80,7 @@ def test_forest_spec_parse_merges_equal_sizes():
 def test_forest_spec_parse_rejects_garbage():
     for bad in (
         "3y5", "x5", "3x", "3x5@x", "3xx5", "",
-        "2x2@", "1_0x2", "+2x3", "2x 3", "2x3@-1", "2 x3",
+        "2x2@", "1_0x2", "+2x3", "2x 3", "2x3@-1", "2 x3", "\u0662x3",
     ):
         with pytest.raises(ValueError, match="cannot parse forest term"):
             ForestSpec.parse(bad)
