@@ -208,7 +208,10 @@ def _refusal(method: str, reason: Reason, D: DistanceSet) -> Verdict:
 # -- single stars -----------------------------------------------------
 
 def _leaf_index_labels(n: int) -> dict:
-    """Leaves labeled by index, center last: serves D={0,1} for every t."""
+    """Leaves labeled by index, center last: serves D={0,1} for every t,
+    and {1} and {1,2} wherever the star is positive, as any bijection
+    does there (l1 -> c -> l2 weighs l(c), l(l2), 0 or l(c)+l(l2),
+    l(l2), 0; a one-leaf star weighs 0 and one label)."""
     labels = {leaf_vertex(i): i for i in range(1, n + 1)}
     labels[center_vertex()] = n + 1
     return labels
@@ -260,19 +263,16 @@ def _star_obstruction(n: int, t: int, D: DistanceSet) -> Reason:
 def star_rule(n: int, t: int) -> Rule:
     """The star characterization as a :func:`decide` rule.
 
-    A negative verdict is refused with its obstruction; {0,1}, {0,2}
-    and {0,1,2} have closed forms.  The positive cases of {1} (n <= 2)
-    and {1,2} (n = 2) have none, so the search finds their witnesses.
+    A negative verdict is refused with its obstruction, and every
+    positive one has a closed form, so no star reaches the search.
     """
 
     def rule(D: DistanceSet):
         if not _star_verdict(n, t, D):
             return _star_obstruction(n, t, D)
-        if D.members == (0, 1):
-            return _leaf_index_labels(n)
         if D.members in ((0, 2), (0, 1, 2)):
             return _center_mid_labels(n, t)
-        return None
+        return _leaf_index_labels(n)
 
     return rule
 
@@ -309,10 +309,14 @@ def _all_source_labels(m: int, n: int) -> dict:
 
 
 def _mixed_labels(m: int, n: int, t: int) -> dict:
-    """Homogeneous forest with internal centers, D={0,1} (2 <= t <= n-2).
+    """Homogeneous forest with internal centers, D={0,1} (1 <= t <= n-2).
 
     Sources take 1..mt in star-major blocks, sinks fill up to mn in
-    index-major order, centers sit on top.
+    index-major order, centers sit on top.  At t = 1 star j's source,
+    sinks and center get j, m(i-1)+j (i = 2..n) and mn+j, so a sink
+    weighs at most mn, star j's source mn+2j <= mn+2m, and its center
+    mn + m*n(n-1)/2 + n*j, increasing in j and, for n >= 3, at least
+    mn+3m+3: three disjoint ranges, each without a tie.
     """
     labels = {}
     for j in range(1, m + 1):
@@ -360,10 +364,9 @@ def forest_rule(sizes: tuple[int, ...], ts: tuple[int, ...]) -> Rule:
     ``sizes`` and ``ts`` give each star's leaf and source counts in
     star order.  One sink leaf per star takes the single-sink pattern;
     m >= 2 copies of one oriented star under {0,1} take the all-sink
-    (t=0), all-source (t=n) or mixed (2 <= t <= n-2) form, and under
+    (t=0), all-source (t=n) or mixed (1 <= t <= n-2) form, and under
     {0,2} or {0,1,2} the distance-two form when the centers are
-    internal.  Any other forest has no known closed form, not even the
-    single source leaf per star (t=1, n >= 3) under {0,1}.
+    internal.  Any other forest has no known closed form.
     """
     single_sink = all(t == n - 1 for n, t in zip(sizes, ts))
     uniform = len(sizes) >= 2 and len(set(sizes)) == 1 and len(set(ts)) == 1
@@ -379,7 +382,7 @@ def forest_rule(sizes: tuple[int, ...], ts: tuple[int, ...]) -> Rule:
                 return _all_sink_labels(m, n)
             if t == n:
                 return _all_source_labels(m, n)
-            if 2 <= t <= n - 2:
+            if 1 <= t <= n - 2:
                 return _mixed_labels(m, n, t)
         elif D.members in ((0, 2), (0, 1, 2)) and 1 <= t <= n - 1:
             return _distance_two_labels(m, n, t)
@@ -396,6 +399,7 @@ def homogeneous_rule(m: int, n: int, t: int) -> Rule:
     same labeling (the distance-two and single-sink forms at t = n-1,
     the all-sink and single-sink forms at n = 1), this family lists it
     in the order of the form it always used, so its output stays the same.
+    Every orientation has a closed form under each set not refuted.
     """
     forest = forest_rule((n,) * m, (t,) * m)
 
@@ -421,9 +425,9 @@ def construct_homogeneous_forest_labeling(
 ) -> Verdict:
     """Decide m disjoint copies of K_{1,n} with t sources under D.
 
-    The family's rule is :func:`homogeneous_rule`; its one orientation
-    without a closed form, t=1 (n >= 3) under {0,1}, is searched with
-    ``search_budget`` nodes, or the default of :func:`decide`.
+    The family's rule is :func:`homogeneous_rule`, whose closed forms
+    leave no single set to the search; ``search_budget`` is passed on
+    to :func:`decide` all the same.
     """
     D = DistanceSet.of(D)
     require_star_domain(D)

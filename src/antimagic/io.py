@@ -136,15 +136,18 @@ def json_text(value, ascii: bool = True, level: int = 0) -> str:
 
     With ``indent`` set, ``json.dumps`` runs its pure-Python encoder,
     which keeps every token until one final join.  Here a string goes
-    through the same C escaper, an int through ``int.__repr__``, and a
-    non-empty list, tuple or str-keyed dict is one join per level; any
-    other value is left to ``json.dumps``, so no byte differs.
+    through the same C escaper, an int through ``int.__repr__``, None
+    and the bools as their literals, and a non-empty list, tuple or
+    str-keyed dict is one join per level; any other value is left to
+    ``json.dumps``, so no byte differs.
     ``level`` is the indent depth the value starts at.
     """
     escape = encode_basestring_ascii if ascii else encode_basestring
     if isinstance(value, str):
         return escape(value)
-    if isinstance(value, int) and not isinstance(value, bool):
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
         return int.__repr__(value)
     inner = "\n" + "  " * (level + 1)
     # Strings in arrays and ints in objects, the common leaves here, skip

@@ -22,8 +22,8 @@ TRACER = ROOT / "bench" / "tracer.py"
 @pytest.mark.parametrize(
     "argv, span",
     [
-        (["construct", "--family", "mstar", "--m", "3", "--n", "4", "--t", "1",
-          "--d", "0,1"], "search.call"),
+        (["construct", "--family", "forest", "--spec", "1x3@1,1x4@1", "--d", "0,1"],
+         "search.call"),
         (["scan", "--spec", "2x2", "--d", "0,1"], "scan.scan"),
         (["construct", "--family", "forest-pi", "--spec", "2x3,1x4", "--d", "0,1"],
          "stars.build"),

@@ -207,31 +207,38 @@ def test_construct_deduplicates_repeated_sets(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, labeling_from",
+    "argv, labeling_from, method",
     [
-        # mstar t=1 under {0,1} has no closed form; forest 3x4@1 is the
-        # same graph and emits the same labeling
-        (["construct", "--family", "mstar", "--m", "3", "--n", "4", "--t", "1",
-          "--d", "0,1"],
-         ["construct", "--family", "forest", "--spec", "3x4@1", "--d", "0,1"]),
-        (["construct", "--family", "star", "--n", "1", "--t", "0", "--d", "1"], None),
-        (["construct", "--family", "star", "--n", "2", "--t", "1", "--d", "1"], None),
-        (["construct", "--family", "star", "--n", "2", "--t", "1", "--d", "1,2"], None),
+        # mstar 4x3@1 has a closed form under {0,1} and one under {0,2},
+        # but neither serves both, so the pair is searched; forest 4x3@1
+        # is the same graph and emits the same labeling
+        (["construct", "--family", "mstar", "--m", "4", "--n", "3", "--t", "1",
+          "--d", "0,1", "--d", "0,2"],
+         ["construct", "--family", "forest", "--spec", "4x3@1",
+          "--d", "0,1", "--d", "0,2"], "search"),
+        # The positive stars under {1} and {1,2} take any bijection.
+        (["construct", "--family", "star", "--n", "1", "--t", "0", "--d", "1"],
+         None, "construction"),
+        (["construct", "--family", "star", "--n", "2", "--t", "1", "--d", "1"],
+         None, "construction"),
+        (["construct", "--family", "star", "--n", "2", "--t", "1", "--d", "1,2"],
+         None, "construction"),
     ],
     ids=["mstar-t1", "star-1-n1", "star-1-n2", "star-12-n2"],
 )
-def test_search_found_witnesses_say_search(argv, labeling_from, capsys):
+def test_search_found_witnesses_say_search(argv, labeling_from, method, capsys):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     doc = GraphDocument.from_json(out)
-    assert doc.metadata["method"] == "search"
-    D = DistanceSet.parse(argv[-1])
-    assert verify_labeling(doc.graph(), doc.labeling, D).antimagic
+    assert doc.metadata["method"] == method
+    for flag, D in zip(argv, argv[1:]):
+        if flag == "--d":
+            assert verify_labeling(doc.graph(), doc.labeling, DistanceSet.parse(D)).antimagic
     if labeling_from is not None:
         code, other, _ = run_cli(labeling_from, capsys)
         assert code == 0
         twin = GraphDocument.from_json(other)
-        assert twin.metadata["method"] == "search"
+        assert twin.metadata["method"] == method
         assert (twin.vertices, twin.arcs, twin.labeling) == (
             doc.vertices, doc.arcs, doc.labeling
         )
@@ -301,7 +308,8 @@ def test_every_family_rejects_distances_past_two(family_args, sets, capsys):
 
 
 def test_mstar_searches_all_its_sets_at_once(capsys):
-    argv = ["construct", "--family", "mstar", "--m", "2", "--n", "3", "--t", "1"]
+    # 4x3@1 has a closed form under each set alone, none under both.
+    argv = ["construct", "--family", "mstar", "--m", "4", "--n", "3", "--t", "1"]
     # A refusal of a later set wins over a budget abort on an earlier one.
     code, out, _ = run_cli(argv + ["--d", "0,1", "--d", "1", "--budget", "2"], capsys)
     assert code == 2
@@ -360,7 +368,8 @@ def test_closed_form_construct_builds_and_verifies_once(argv, capsys, monkeypatc
     "argv",
     [
         ["--family", "star", "--n", "5", "--t", "2", "--d", "0,2"],
-        ["--family", "mstar", "--m", "3", "--n", "4", "--t", "1", "--d", "0,1"],
+        ["--family", "mstar", "--m", "4", "--n", "3", "--t", "1",
+         "--d", "0,1", "--d", "0,2"],
         ["--family", "forest", "--spec", "2x3@1,1x4@3", "--d", "0", "--d", "0,1"],
         ["--family", "forest-pi", "--spec", "2x3,1x4", "--d", "0,1,2"],
     ],

@@ -227,19 +227,63 @@ def test_mixed_orientation_closed_form_range():
                 assert verdict.method == BY_CONSTRUCTION, (m, n, t)
 
 
+def joint_mstar_verdict(m, n, t, sets, budget=None):
+    g = build_homogeneous_forest(m, StarShape(n=n, t=t))
+    return g, decide(g, sets, homogeneous_rule(m, n, t), budget)
+
+
 def test_single_source_orientation_is_delegated_to_search():
-    verdict = mstar_verdict(2, 3, 1, D01)
+    # 4x3@1 has a closed form under {0,1} and under {0,2}; neither
+    # serves both, so the pair is left to the search.
+    g, verdict = joint_mstar_verdict(4, 3, 1, (D01, D02))
     assert (verdict.status, verdict.method) == (ANTIMAGIC, BY_SEARCH)
     assert verdict.search is not None
     assert verdict.search.status is SearchStatus.FOUND
-    g = build_homogeneous_forest(2, StarShape(n=3, t=1))
-    assert verify_labeling(g, verdict.witness, D01).antimagic
+    for D in (D01, D02):
+        assert verify_labeling(g, verdict.witness, D).antimagic
 
 
 def test_single_source_search_can_be_budgeted_out():
-    verdict = mstar_verdict(3, 6, 1, D01, budget=10)
+    _, verdict = joint_mstar_verdict(4, 3, 1, (D01, D02), budget=10)
     assert (verdict.status, verdict.method) == (ABORTED, BY_SEARCH)
     assert verdict.witness is None
+
+
+def single_source_census(ms, ns):
+    """The (m, n) pairs whose t=1 forest {0,1} does not answer by construction."""
+    missed = []
+    for m in ms:
+        for n in ns:
+            try:
+                verdict = mstar_verdict(m, n, 1, D01)
+            except RuntimeError:  # a closed form that fails the verifier
+                verdict = None
+            if verdict is None or verdict.method != BY_CONSTRUCTION:
+                missed.append((m, n))
+    return missed
+
+
+def test_single_source_family_is_constructed():
+    # 342 pairs; every closed form is gated by the verifier inside decide.
+    assert single_source_census(range(2, 21), range(3, 21)) == []
+
+
+def test_single_source_census_catches_reversed_centers(monkeypatch):
+    """With the centers in reverse star order, star j's source weighs
+    j + (mn + m+1-j) = mn+m+1 for every j, so every pair fails."""
+    import antimagic.constructions as constructions
+
+    real = constructions._mixed_labels
+
+    def reversed_centers(m, n, t):
+        labels = real(m, n, t)
+        for j in range(1, m + 1):
+            labels[f"c{j}"] = m * n + m + 1 - j
+        return labels
+
+    monkeypatch.setattr(constructions, "_mixed_labels", reversed_centers)
+    ms, ns = range(2, 21), range(3, 21)
+    assert len(single_source_census(ms, ns)) == len(ms) * len(ns) == 342
 
 
 def test_distance_two_closed_form_small_example():
@@ -328,9 +372,10 @@ def test_closed_form_registry_routes():
     assert closed_form_forest_labeling(spec, ((3, 3),), D01) is not None
     assert closed_form_forest_labeling(spec, ((2, 2),), D01) is not None
     assert closed_form_forest_labeling(spec, ((1, 1),), D02) is not None
-    # mixed orientations and the single-source class have no closed form
+    assert closed_form_forest_labeling(spec, ((1, 1),), D01) is not None
+    # mixed orientations and non-uniform single-source forests have none
     assert closed_form_forest_labeling(spec, ((0, 1),), D01) is None
-    assert closed_form_forest_labeling(spec, ((1, 1),), D01) is None
+    assert closed_form_forest_labeling(ForestSpec.parse("1x3,1x4"), ((1,), (1,)), D01) is None
 
 
 def test_closed_form_builds_the_forest_only_when_a_form_applies(monkeypatch):
@@ -345,7 +390,7 @@ def test_closed_form_builds_the_forest_only_when_a_form_applies(monkeypatch):
     monkeypatch.setattr(constructions, "build_forest", counted)
     spec = ForestSpec.parse("2x3")
     assert closed_form_forest_labeling(spec, ((0, 1),), D01) is None
-    assert closed_form_forest_labeling(spec, ((1, 1),), D01) is None
+    assert closed_form_forest_labeling(ForestSpec.parse("1x3,1x4"), ((1,), (1,)), D01) is None
     assert closed_form_forest_labeling(spec, ((0, 0),), D1) is None
     assert builds == []
     assert closed_form_forest_labeling(spec, ((2, 2),), D01) is not None

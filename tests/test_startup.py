@@ -79,10 +79,14 @@ def star_doc(tmp_path_factory):
          {"cli", "graph", "io", "constructions", "stars"}),
         (["construct", "--family", "forest", "--spec", "2x3@2", "--d", "0,1"],
          {"cli", "graph", "io", "constructions", "stars"}),
+        (["construct", "--family", "mstar", "--m", "3", "--n", "6", "--t", "1",
+          "--d", "0,1"], {"cli", "graph", "io", "constructions", "stars"}),
+        (["construct", "--family", "star", "--n", "2", "--t", "1", "--d", "1"],
+         {"cli", "graph", "io", "constructions", "stars"}),
         (["search", "DOC", "--d", "0,1"], {"cli", "graph", "io", "search"}),
     ],
     ids=["verify", "mstar-closed-form", "star-closed-form", "forest-pi",
-         "forest-closed-form", "search"],
+         "forest-closed-form", "mstar-single-source", "star-positive-1", "search"],
 )
 def test_subcommand_loads_only_what_it_runs(argv, expected, star_doc):
     argv = [str(star_doc) if arg == "DOC" else arg for arg in argv]
@@ -95,9 +99,9 @@ def test_subcommand_loads_only_what_it_runs(argv, expected, star_doc):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["construct", "--family", "mstar", "--m", "2", "--n", "3", "--t", "1",
-         "--d", "0,1"],
-        ["construct", "--family", "forest", "--spec", "2x3@1", "--d", "0,1"],
+        ["construct", "--family", "mstar", "--m", "4", "--n", "3", "--t", "1",
+         "--d", "0,1", "--d", "0,2"],
+        ["construct", "--family", "forest", "--spec", "1x3@1,1x4@1", "--d", "0,1"],
         ["scan", "--spec", "2x2", "--d", "0,1"],
     ],
     ids=["search-fallback", "forest-vertex-cap", "scan"],
@@ -299,8 +303,7 @@ def recording(calls, real):
         (cli, "build_forest",
          ["construct", "--family", "forest", "--spec", "2x3@2", "--d", "0,1"]),
         (constructions, "search_labeling",
-         ["construct", "--family", "mstar", "--m", "2", "--n", "3", "--t", "1",
-          "--d", "0,1"]),
+         ["construct", "--family", "forest", "--spec", "1x3@1,1x4@1", "--d", "0,1"]),
     ],
     ids=["cli.search-one-set", "cli.search_joint_labeling", "cli.build_forest",
          "constructions.search_labeling"],
