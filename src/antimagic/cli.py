@@ -247,10 +247,7 @@ def main(argv=None) -> int:
     except (_UsageError, VertexCapError) as exc:
         print(f"antimagic {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _DataError as exc:
-        print(f"antimagic {args.command}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except UnsupportedDistanceSetError as exc:
+    except (_DataError, UnsupportedDistanceSetError) as exc:
         print(f"antimagic {args.command}: {exc}", file=sys.stderr)
         return EXIT_DATA
     except RuntimeError as exc:

@@ -142,16 +142,14 @@ class OrientedGraph:
 
     def __init__(self, vertices: Iterable, arcs: Iterable[tuple]):
         self._vertices = tuple(vertices)
-        if len(set(self._vertices)) != len(self._vertices):
-            raise GraphError("duplicate vertex identifiers")
-        self._index = {v: i for i, v in enumerate(self._vertices)}
         out = {v: [] for v in self._vertices}
-        into = {v: [] for v in self._vertices}
+        if len(out) != len(self._vertices):
+            raise GraphError("duplicate vertex identifiers")
         seen: set[tuple] = set()
         for tail, head in arcs:
-            if tail not in self._index:
+            if tail not in out:
                 raise GraphError(f"arc uses undeclared vertex {tail!r}")
-            if head not in self._index:
+            if head not in out:
                 raise GraphError(f"arc uses undeclared vertex {head!r}")
             if tail == head:
                 raise GraphError(f"loop at {tail!r}")
@@ -161,24 +159,19 @@ class OrientedGraph:
                 raise GraphError(f"two-cycle between {tail!r} and {head!r}")
             seen.add((tail, head))
             out[tail].append(head)
-            into[head].append(tail)
-        self._arcs = tuple(
-            sorted(seen, key=lambda a: (self._index[a[0]], self._index[a[1]]))
-        )
-        self._out = {v: tuple(heads) for v, heads in out.items()}
-        self._in = {v: tuple(tails) for v, tails in into.items()}
-        self._dist = {v: self._bfs_from(v) for v in self._vertices}
-
-    def _bfs_from(self, start) -> dict:
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in self._out[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
+        index = {v: i for i, v in enumerate(self._vertices)}
+        self._arcs = tuple(sorted(seen, key=lambda a: (index[a[0]], index[a[1]])))
+        self._dist = {}
+        for start in self._vertices:
+            row = {start: 0}
+            queue = deque([start])
+            while queue:
+                u = queue.popleft()
+                for w in out[u]:
+                    if w not in row:
+                        row[w] = row[u] + 1
+                        queue.append(w)
+            self._dist[start] = row
 
     @property
     def vertices(self) -> tuple:
@@ -188,17 +181,10 @@ class OrientedGraph:
     def arcs(self) -> tuple:
         return self._arcs
 
-    def index(self, v) -> int:
-        self._require(v)
-        return self._index[v]
-
     def out_neighbors(self, v) -> tuple:
         self._require(v)
-        return self._out[v]
-
-    def in_neighbors(self, v) -> tuple:
-        self._require(v)
-        return self._in[v]
+        # The BFS put v's heads right after v itself, in arc order.
+        return tuple(w for w, d in self._dist[v].items() if d == 1)
 
     def distance(self, u, v) -> int | float:
         """Directed shortest-path distance, ``UNREACHABLE`` when no path."""
@@ -207,14 +193,14 @@ class OrientedGraph:
         return self._dist[u].get(v, UNREACHABLE)
 
     def _require(self, v) -> None:
-        if v not in self._index:
+        if v not in self._dist:
             raise KeyError(f"unknown vertex {v!r}")
 
     def __len__(self) -> int:
         return len(self._vertices)
 
     def __contains__(self, v: object) -> bool:
-        return v in self._index
+        return v in self._dist
 
     def __iter__(self) -> Iterator:
         return iter(self._vertices)
@@ -324,18 +310,20 @@ def verify_labeling(g: OrientedGraph, labeling: Labeling, D) -> WeightReport:
     report's ``antimagic`` flag is true exactly when no two vertices
     share a weight.
     """
-    D = DistanceSet.of(D)
+    members = DistanceSet.of(D).members
     labeling = labeling if isinstance(labeling, Labeling) else Labeling(labeling)
     labeling.validate_for(g)
-    weights = {u: sum(labeling[v] for v in d_neighborhood(g, u, D)) for u in g.vertices}
+    weights = {
+        u: sum(labeling[v] for v, d in g._dist[u].items() if d in members)
+        for u in g.vertices
+    }
+    # Filled in vertex order, so the groups come in the order of their
+    # first vertex.
     by_weight: dict[int, list] = {}
     for v in g.vertices:
         by_weight.setdefault(weights[v], []).append(v)
     pairs: list[tuple] = []
-    for group in sorted(
-        (vs for vs in by_weight.values() if len(vs) > 1),
-        key=lambda vs: g.index(vs[0]),
-    ):
+    for group in by_weight.values():
         pairs.extend(combinations(group, 2))
     return WeightReport(weights=weights, collisions=tuple(pairs))
 

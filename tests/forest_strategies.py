@@ -1,8 +1,15 @@
-"""Hypothesis strategies for small oriented stars and star forests."""
+"""Hypothesis strategies for small oriented graphs, stars and star forests."""
 
 from hypothesis import strategies as st
 
-from antimagic import ForestSpec, StarGroup, StarShape, build_forest, build_star
+from antimagic import (
+    ForestSpec,
+    OrientedGraph,
+    StarGroup,
+    StarShape,
+    build_forest,
+    build_star,
+)
 
 STAR_SETS = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
 
@@ -66,3 +73,20 @@ def small_graphs(draw):
 
 
 distance_sets = st.sampled_from(STAR_SETS)
+
+
+@st.composite
+def oriented_graphs(draw, max_vertices=9, min_vertices=1):
+    """Any oriented graph on min_vertices to max_vertices vertices, sparse
+    ones favoured so that twins actually occur."""
+    n = draw(st.integers(min_vertices, max_vertices))
+    vertices = [f"v{i}" for i in range(n)]
+    arcs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            kind = draw(st.sampled_from(("none", "none", "forward", "backward")))
+            if kind == "forward":
+                arcs.append((vertices[i], vertices[j]))
+            elif kind == "backward":
+                arcs.append((vertices[j], vertices[i]))
+    return OrientedGraph(vertices, arcs)

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from antimagic import (
     is_admissible,
     verify_labeling,
 )
-from forest_strategies import small_graphs, star_shapes
+from forest_strategies import oriented_graphs, small_graphs, star_shapes
 
 
 # -- DistanceSet ------------------------------------------------------
@@ -95,12 +96,32 @@ def test_graph_preserves_vertex_order_and_sorts_arcs():
     assert list(g) == ["b", "a", "c"]
 
 
-def test_graph_unknown_vertex_raises_key_error():
-    g = OrientedGraph(["a"], [])
-    with pytest.raises(KeyError):
-        g.distance("a", "z")
+def test_graph_keeps_only_vertices_arcs_and_distance_rows():
+    g = OrientedGraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    assert set(vars(g)) == {"_vertices", "_arcs", "_dist"}
+
+
+@settings(max_examples=60)
+@given(st.one_of(oriented_graphs(), small_graphs()), st.data())
+def test_out_neighbors_are_the_heads_in_input_order(g, data):
+    arcs = data.draw(st.permutations(g.arcs))
+    h = OrientedGraph(g.vertices, arcs)
+    assert h.arcs == g.arcs
+    for v in h.vertices:
+        assert h.out_neighbors(v) == tuple(head for tail, head in arcs if tail == v)
+
+
+@settings(max_examples=40)
+@given(st.one_of(oriented_graphs(), small_graphs()))
+def test_graph_unknown_vertex_raises_key_error(g):
+    assert "z" not in g
     with pytest.raises(KeyError):
         g.out_neighbors("z")
+    for v in g.vertices:
+        with pytest.raises(KeyError):
+            g.distance(v, "z")
+        with pytest.raises(KeyError):
+            g.distance("z", v)
 
 
 def test_distances_on_a_directed_path():
@@ -251,6 +272,25 @@ def test_verifier_weights_match_path_oracle(g, data):
     assert report.antimagic == oracle.is_weight_distinct(
         g.vertices, g.arcs, labels, D
     )
+
+
+@settings(max_examples=60)
+@given(st.one_of(oriented_graphs(), small_graphs()), st.data())
+def test_collisions_come_grouped_in_order_of_first_vertex(g, data):
+    perm = data.draw(st.permutations(range(1, len(g) + 1)))
+    labels = dict(zip(g.vertices, perm))
+    D = data.draw(st.sampled_from([(1,), (2,), (1, 2), (0, 1), (0, 2)]))
+    weights = oracle.weights(g.vertices, g.arcs, labels, D)
+    position = {v: i for i, v in enumerate(g.vertices)}
+    groups = sorted(
+        (
+            [v for v in g.vertices if weights[v] == weight]
+            for weight in set(weights.values())
+        ),
+        key=lambda vs: position[vs[0]],
+    )
+    want = tuple(pair for vs in groups for pair in combinations(vs, 2))
+    assert verify_labeling(g, labels, D).collisions == want
 
 
 @settings(max_examples=40)

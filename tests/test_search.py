@@ -24,7 +24,7 @@ from antimagic import (
     verify_labeling,
 )
 from antimagic.search import UNFIT_DISTANCE_SET, _Engine
-from forest_strategies import STAR_SETS, repeated_star_forests
+from forest_strategies import STAR_SETS, oriented_graphs, repeated_star_forests
 
 
 def test_count_all_bijections_work_for_distance_one_two_on_k12():
@@ -228,23 +228,6 @@ def test_negative_budget_is_rejected():
     zero = search_labeling(g, {0, 1}, budget=0)
     assert zero.status is SearchStatus.ABORTED
     assert zero.nodes_explored == 1
-
-
-@st.composite
-def oriented_graphs(draw, max_vertices=9, min_vertices=1):
-    """Any oriented graph on min_vertices to max_vertices vertices, sparse
-    ones favoured so that twins actually occur."""
-    n = draw(st.integers(min_vertices, max_vertices))
-    vertices = [f"v{i}" for i in range(n)]
-    arcs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            kind = draw(st.sampled_from(("none", "none", "forward", "backward")))
-            if kind == "forward":
-                arcs.append((vertices[i], vertices[j]))
-            elif kind == "backward":
-                arcs.append((vertices[j], vertices[i]))
-    return OrientedGraph(vertices, arcs)
 
 
 def test_dead_label_prune_keeps_labelings_with_an_empty_neighborhood():

@@ -43,7 +43,8 @@ def test_build_star_arc_directions():
 def test_build_star_extremes():
     assert build_star(StarShape(n=1, t=0)).arcs == (("c", "l1"),)
     assert build_star(StarShape(n=1, t=1)).arcs == (("l1", "c"),)
-    assert build_star(StarShape(n=3, t=3)).in_neighbors("c") == ("l1", "l2", "l3")
+    g = build_star(StarShape(n=3, t=3))
+    assert tuple(tail for tail, head in g.arcs if head == "c") == ("l1", "l2", "l3")
 
 
 def test_vertex_name_helpers():
@@ -125,7 +126,7 @@ def test_build_forest_orientation_override():
     spec = ForestSpec.parse("2x2")
     g = build_forest(spec, ((0, 2),))
     assert g.out_neighbors("c1") == ("l1.1", "l1.2")
-    assert g.in_neighbors("c2") == ("l2.1", "l2.2")
+    assert tuple(tail for tail, head in g.arcs if head == "c2") == ("l2.1", "l2.2")
     with pytest.raises(ValueError):
         build_forest(spec, ((0,),))
     with pytest.raises(ValueError):
@@ -148,7 +149,7 @@ def test_build_forest_pi_fixes_one_sink_leaf_per_star():
     for k, n in enumerate(spec.star_sizes(), start=1):
         center = f"c{k}"
         assert g.out_neighbors(center) == (f"l{k}.{n}",)
-        assert len(g.in_neighbors(center)) == n - 1
+        assert sum(head == center for _, head in g.arcs) == n - 1
 
 
 def test_build_forest_pi_single_leaf_stars_degenerate():
