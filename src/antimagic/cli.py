@@ -37,6 +37,7 @@ import os
 import sys
 from itertools import repeat
 from pathlib import Path
+from types import GeneratorType
 
 from .graph import (
     DistanceSet,
@@ -294,32 +295,57 @@ def _print_json(payload: dict, file=None) -> None:
     ``file`` defaults to stdout.  A list or object that holds lists or
     objects goes out one item at a time, at every depth, so a long
     listing, a scan report or a verify report's collisions never exist
-    as one string.
+    as one string.  A listing may also be a generator: it is written as
+    a list while it is produced, so its items need never exist all at
+    once.
     """
     write = (file or sys.stdout).write
     _write_json(write, payload, 0, "")
     write("\n")
 
 
+#: What ``_write_json`` writes item by item when a value holds one.
+_CONTAINERS = (dict, list, tuple, GeneratorType)
+
+
 def _write_json(write, value, level: int, head: str) -> None:
     # head is the text due before value: a separator and, in an object,
-    # its key.  A container of plain values is one json_text call.
-    items = ()
-    if isinstance(value, dict) and all(map(isinstance, value, repeat(str))):
-        items = value.values()
-    elif isinstance(value, (list, tuple)):
+    # its key.  A container of plain values is one json_text call, and
+    # so is each item that holds no container in the loop below, with no
+    # call of its own.
+    if type(value) is GeneratorType:
         items = value
-    if not any(map(isinstance, items, repeat((dict, list, tuple)))):
-        write(head + json_text(value, level=level))
-        return
+    else:
+        items = ()
+        if isinstance(value, dict) and all(map(isinstance, value, repeat(str))):
+            items = value.values()
+        elif isinstance(value, (list, tuple)):
+            items = value
+        if not any(map(isinstance, items, repeat(_CONTAINERS))):
+            write(head + json_text(value, level=level))
+            return
     inner = "\n" + "  " * (level + 1)
+    sep = "," + inner
     ends = "[]" if items is value else "{}"
     keys = repeat("") if items is value else (json_text(key) + ": " for key in value)
-    head += ends[0] + inner
+    opening = head + ends[0]
+    head = opening + inner
     for key, item in zip(keys, items):
-        _write_json(write, item, level + 1, head + key)
-        head = "," + inner
-    write(inner[:-2] + ends[1])
+        flat = False
+        kind = type(item)
+        if kind is dict or kind is tuple or kind is list:
+            for member in item.values() if kind is dict else item:
+                if isinstance(member, _CONTAINERS):
+                    break
+            else:
+                flat = True
+        if flat:
+            write(head + key + json_text(item, level=level + 1))
+        else:
+            _write_json(write, item, level + 1, head + key)
+        head = sep
+    # Only a generator can turn out empty here; json.dumps writes [] for it.
+    write(inner[:-2] + ends[1] if head == sep else opening + ends[1])
 
 
 def _requested_sets(args) -> list[DistanceSet]:
@@ -519,9 +545,10 @@ def _cmd_search(args) -> int:
         "shortcut": result.shortcut,
     }
     if args.mode == "all" and result.labelings is not None:
-        payload["labelings"] = [
-            _ordered_labels(g, labeling) for labeling in result.labelings
-        ]
+        # Each row becomes a dict only while it is written.
+        payload["labelings"] = (
+            dict(zip(g.vertices, row)) for row in result.labelings
+        )
     _print_json(payload)
     if result.status is SearchStatus.FOUND:
         return EXIT_OK
@@ -563,8 +590,21 @@ def _write_scan_report(out_arg, spec_text, spec, sets, rows, table) -> None:
     except OSError as exc:
         raise _DataError(f"cannot create {out_arg!r}: {exc}") from None
     (out / "scan.txt").write_text(table + "\n", encoding="utf-8")
-    sizes = spec.star_sizes()
-    json_rows = []
+    payload = {
+        "spec": spec_text,
+        "distance_sets": [str(D) for D in sets],
+        "rows": _report_rows(out, spec_text, spec.star_sizes(), sets, rows),
+    }
+    with open(out / "scan.json", "w", encoding="utf-8") as file:
+        _print_json(payload, file)
+
+
+def _report_rows(out, spec_text, sizes, sets, rows):
+    """Yield each ``scan.json`` row, writing the row's witness files first.
+
+    ``_print_json`` writes the rows as they come, so no list of them is
+    ever held.
+    """
     for r, row in enumerate(rows):
         cells = {}
         # The row's vertices and arcs, listed without building its graph
@@ -596,16 +636,7 @@ def _write_scan_report(out_arg, spec_text, spec, sets, rows, table) -> None:
                         "distance_sets": served, "method": method}
             doc = GraphDocument(*parts, witness, metadata)
             (out / name).write_text(doc.to_json(), encoding="utf-8")
-        json_rows.append(
-            {
-                "orientation": row.orientation,
-                "cells": cells,
-            }
-        )
-    payload = {
-        "spec": spec_text,
-        "distance_sets": [str(D) for D in sets],
-        "rows": json_rows,
-    }
-    with open(out / "scan.json", "w", encoding="utf-8") as file:
-        _print_json(payload, file)
+        yield {
+            "orientation": row.orientation,
+            "cells": cells,
+        }

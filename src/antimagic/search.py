@@ -94,7 +94,10 @@ class SearchResult(NamedTuple):
     actually covered.  ``symmetry_order`` is the order of the declared
     reduction group (1 when reduction is off); a reduced count times
     this order gives the unreduced count.  ``shortcut`` names a
-    non-enumerative refutation when one applied.
+    non-enumerative refutation when one applied.  ``labelings``, in
+    mode ``all`` only, holds one row per labeling: its labels in
+    ``g.vertices`` order, with no ``Labeling`` copy;
+    ``Labeling(zip(g.vertices, row))`` is the labeling itself.
     """
 
     status: SearchStatus
@@ -103,7 +106,7 @@ class SearchResult(NamedTuple):
     nodes_explored: int
     symmetry_order: int = 1
     shortcut: str | None = None
-    labelings: tuple[Labeling, ...] | None = None
+    labelings: tuple[tuple[int, ...], ...] | None = None
 
 
 class _Engine:
@@ -337,7 +340,8 @@ class _Engine:
         verts = self.verts
         self.count = 0
         self.witness: dict | None = None
-        self.labelings: list[dict] = []
+        # One row of labels in vertex order per labeling of mode "all".
+        self.labelings: list[tuple[int, ...]] = []
         nodes = 0
         limit = -1 if budget is None else budget
         aborted = False
@@ -368,12 +372,14 @@ class _Engine:
                     if complete:
                         self.count += 1
                         if self.witness is None or mode == "all":
-                            snapshot = {verts[u]: label_of[u] for u in range(n)}
-                            snapshot[verts[v]] = label
+                            # The last vertex's label goes in only for the copy.
+                            label_of[v] = label
+                            row = tuple(label_of)
+                            label_of[v] = 0
                             if self.witness is None:
-                                self.witness = snapshot
+                                self.witness = dict(zip(verts, row))
                             if mode == "all":
-                                self.labelings.append(snapshot)
+                                self.labelings.append(row)
                         if mode == "first":
                             break
                 if not depth:
@@ -466,7 +472,8 @@ def search_labeling(
 
     ``first`` stops at the first labeling in deterministic order;
     ``count`` visits the whole (symmetry-reduced) space and counts;
-    ``all`` additionally returns every labeling found.  The exhaustive
+    ``all`` additionally returns every labeling found, as rows of
+    labels in ``g.vertices`` order.  The exhaustive
     modes are capped by :func:`vertex_cap`; ``first`` is not, but a
     budget is recommended beyond the cap.
     """
@@ -532,7 +539,5 @@ def search_joint_labeling(
         count=count if mode in ("all", "count") else None,
         nodes_explored=nodes,
         symmetry_order=engine.symmetry_order,
-        labelings=(
-            tuple(Labeling(m) for m in engine.labelings) if mode == "all" else None
-        ),
+        labelings=tuple(engine.labelings) if mode == "all" else None,
     )

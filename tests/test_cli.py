@@ -1,11 +1,15 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antimagic import (
     DistanceSet,
@@ -20,6 +24,7 @@ from antimagic import (
 )
 from antimagic.cli import main
 from antimagic.io import GraphDocument
+from test_io import _JSON_VALUES
 
 D01 = DistanceSet.of([0, 1])
 D02 = DistanceSet.of([0, 2])
@@ -30,6 +35,26 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def traced_peak(argv, monkeypatch):
+    """Exit code and traced heap peak of one in-process request.
+
+    Standard output goes to os.devnull, and the modules a request may
+    load are imported first, so only the request itself is traced.
+    """
+    import antimagic.scan  # noqa: F401  (loads constructions and stars)
+    import antimagic.search  # noqa: F401
+
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return code, peak
 
 
 def write_star_doc(tmp_path, n, t, labeling=None, name="graph.json"):
@@ -454,6 +479,44 @@ def test_verify_streams_collisions_as_json_dumps_would(tmp_path, capsys):
     assert not any("]," in piece for piece in pieces)
 
 
+def _with_generators(value, draw):
+    # Swap some lists, empty ones included, for generators of the same
+    # items.  Only containers that the writer streams may hold one: a
+    # dict with a non-str key goes to json_text whole.
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            return value
+        return {key: _with_generators(item, draw) for key, item in value.items()}
+    if not isinstance(value, (list, tuple)):
+        return value
+    items = [_with_generators(item, draw) for item in value]
+    if isinstance(value, tuple):
+        return tuple(items)
+    return (item for item in items) if draw(st.booleans()) else items
+
+
+# The JSON values of test_io, and objects of them and of lists of them,
+# the shape of every result the program writes.
+_PAYLOADS = st.one_of(
+    _JSON_VALUES,
+    st.dictionaries(
+        st.text(max_size=3),
+        st.one_of(_JSON_VALUES, st.lists(_JSON_VALUES, max_size=3)),
+        max_size=3,
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PAYLOADS, st.data())
+def test_print_json_writes_generators_as_the_lists_they_produce(value, data):
+    from antimagic.cli import _print_json
+
+    out = io.StringIO()
+    _print_json(_with_generators(value, data.draw), out)
+    assert out.getvalue() == json.dumps(value, indent=2) + "\n"
+
+
 def test_verify_mixed_sets_worst_case_wins(tmp_path, capsys):
     path, _ = write_star_doc(
         tmp_path, 2, 0, labeling=Labeling({"c": 1, "l1": 2, "l2": 3})
@@ -642,6 +705,18 @@ def test_search_mode_all_lists_every_labeling(tmp_path, capsys):
     assert len(labelings) == payload["count"] == 4
     for labeling in labelings:
         assert verify_labeling(g, labeling, D01).antimagic
+
+
+def test_search_mode_all_holds_one_row_per_labeling(tmp_path, monkeypatch):
+    # 23,704 labelings: as a list of dicts the request peaked at ~14 MiB,
+    # with rows of labels and a listing written as it is produced ~3.4.
+    g = build_forest(ForestSpec.parse("1x4@1,1x4@1"))
+    path = tmp_path / "forest.json"
+    path.write_text(GraphDocument.from_graph(g).to_json(), encoding="utf-8")
+    argv = ["search", str(path), "--d", "0,2", "--mode", "all"]
+    code, peak = traced_peak(argv, monkeypatch)
+    assert code == 0
+    assert peak <= 7 * 2**20
 
 
 def test_search_symmetry_scaling(tmp_path, capsys):
@@ -960,6 +1035,15 @@ def test_scan_report_writes_each_distinct_witness_once(tmp_path, capsys):
         written.update(served)
     assert reused > 0
     assert {path.name for path in out_dir.iterdir()} == written
+
+
+def test_reference_scan_report_holds_no_list_of_rows(tmp_path, monkeypatch):
+    # The rows and their witness files are written as they are produced:
+    # ~505 KiB peak, against ~690 KiB when the rows were listed first.
+    argv = ["scan", "--spec", "2x3,2x4", "--d", "0,1", "--d", "0,2", "--d", "0,1,2"]
+    code, peak = traced_peak(argv + ["--out", str(tmp_path / "report")], monkeypatch)
+    assert code == 0
+    assert peak <= 600 * 2**10
 
 
 def test_scan_rejects_oriented_specs(capsys):

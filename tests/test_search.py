@@ -10,6 +10,7 @@ import naive_oracle as oracle
 from antimagic import (
     DistanceSet,
     ForestSpec,
+    Labeling,
     OrientedGraph,
     SearchStatus,
     StarShape,
@@ -54,11 +55,13 @@ def test_mode_all_returns_every_labeling():
     g = build_star(StarShape(n=2, t=1))
     result = search_labeling(g, {1, 2}, mode="all", symmetry=False)
     assert result.count == 6
-    assert len(result.labelings) == 6
-    assert len(set(result.labelings)) == 6
-    for labeling in result.labelings:
+    # Each labeling is a row of labels in vertex order.
+    labelings = [Labeling(zip(g.vertices, row)) for row in result.labelings]
+    assert len(labelings) == 6
+    assert len(set(labelings)) == 6
+    for labeling in labelings:
         assert verify_labeling(g, labeling, {1, 2}).antimagic
-    assert result.witness == result.labelings[0]
+    assert result.witness == labelings[0]
 
 
 def test_counts_match_brute_force_on_all_small_stars():
@@ -327,7 +330,9 @@ def test_all_mode_returns_the_same_labelings_in_the_same_order():
     g = build_forest(ForestSpec.parse("1x3@1,1x3@1"))
     result = search_labeling(g, (0, 1), mode="all")
     assert len(result.labelings) == result.count == 1_326
-    text = json.dumps([dict(m) for m in result.labelings], sort_keys=True)
+    text = json.dumps(
+        [dict(zip(g.vertices, row)) for row in result.labelings], sort_keys=True
+    )
     assert hashlib.sha256(text.encode()).hexdigest() == ALL_ORDER_DIGEST
 
 
