@@ -9,7 +9,8 @@ contract:
     2   proven nonexistent: refused by a theorem or exhausted search
     3   search aborted on its node budget
     64  usage error (unknown flags, malformed parameters)
-    65  data error (unreadable or malformed input, unsupported distance set)
+    65  data error (unreadable or malformed input, unsupported distance
+        set, a scan report that cannot be written)
     70  internal error: any uncaught RuntimeError, such as a construction
         or witness that fails its own verification
     74  output error: the reader closed standard output early
@@ -589,14 +590,19 @@ def _write_scan_report(out_arg, spec_text, spec, sets, rows, table) -> None:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise _DataError(f"cannot create {out_arg!r}: {exc}") from None
-    (out / "scan.txt").write_text(table + "\n", encoding="utf-8")
     payload = {
         "spec": spec_text,
         "distance_sets": [str(D) for D in sets],
         "rows": _report_rows(out, spec_text, spec.star_sizes(), sets, rows),
     }
-    with open(out / "scan.json", "w", encoding="utf-8") as file:
-        _print_json(payload, file)
+    # Nothing in this block writes to stdout, so every OSError caught here,
+    # BrokenPipeError included, comes from a report file.
+    try:
+        (out / "scan.txt").write_text(table + "\n", encoding="utf-8")
+        with open(out / "scan.json", "w", encoding="utf-8") as file:
+            _print_json(payload, file)
+    except OSError as exc:
+        raise _DataError(f"cannot write the report in {out_arg!r}: {exc}") from None
 
 
 def _report_rows(out, spec_text, sizes, sets, rows):

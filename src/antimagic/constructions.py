@@ -22,6 +22,7 @@ from .graph import (
     UNFIT_DISTANCE_SET,
     DistanceSet,
     Labeling,
+    LabelingError,
     OrientedGraph,
     UnsupportedDistanceSetError,
     is_admissible,
@@ -129,9 +130,13 @@ def require_star_domain(D: DistanceSet) -> None:
 
 
 def _gate(g: OrientedGraph, labels: dict, D: DistanceSet) -> Labeling | None:
-    """Verify a candidate labeling; None when it fails the check."""
+    """Verify a candidate labeling; None when it fails the check, a
+    labeling that is not a bijection onto 1..|V| included."""
     labeling = Labeling(labels)
-    return labeling if verify_labeling(g, labeling, D).antimagic else None
+    try:
+        return labeling if verify_labeling(g, labeling, D).antimagic else None
+    except LabelingError:
+        return None
 
 
 # -- the decision ladder ----------------------------------------------
@@ -231,48 +236,36 @@ def _center_mid_labels(n: int, t: int) -> dict:
     return labels
 
 
-def _star_verdict(n: int, t: int, D: DistanceSet) -> bool:
-    key = D.members
-    if key == (0,) or key == (0, 1):
-        return True
-    if key == (1,):
-        return n == 1 or (n == 2 and t == 1)
-    if key == (2,):
-        return False
-    if key == (0, 2) or key == (0, 1, 2):
-        return 1 <= t <= n - 1
-    if key == (1, 2):
-        return n == 2 and t == 1
-    raise UnsupportedDistanceSetError(f"no star verdict for {D}")
-
-
-def _star_obstruction(n: int, t: int, D: DistanceSet) -> Reason:
-    if D.largest == 2 and not 1 <= t <= n - 1:
-        # Distance 2 exists in a star exactly when the center is
-        # internal; otherwise no labeling can use the full set.
-        return Reason.CENTER_SOURCE_OR_SINK
-    if D.members == (2,):
-        return Reason.ZERO_WEIGHT_TIE
-    if n >= 3:
-        return Reason.N_EXCEEDS_BOUND
-    if t == 0:
-        return Reason.TWO_SINK_LEAVES
-    return Reason.TWO_SOURCE_LEAVES
-
-
 def star_rule(n: int, t: int) -> Rule:
     """The star characterization as a :func:`decide` rule.
 
-    A negative verdict is refused with its obstruction, and every
-    positive one has a closed form, so no star reaches the search.
+    K_{1,n} with t sources, under a set D other than {0} (which
+    :func:`decide` labels sequentially); the first line that matches wins:
+
+    * 2 in D, t = 0 or t = n: CENTER_SOURCE_OR_SINK (no distance 2);
+    * {2}: ZERO_WEIGHT_TIE;
+    * {0,2}, {0,1,2}: the center-mid labeling;
+    * {0,1}; {1} at n = 1; {1}, {1,2} at (n, t) = (2, 1): leaf-index;
+    * else N_EXCEEDS_BOUND if n >= 3, TWO_SINK_LEAVES if t = 0,
+      TWO_SOURCE_LEAVES otherwise.
+
+    Every refusal names its obstruction, and every positive answer has
+    a closed form, so no star reaches the search.
     """
 
     def rule(D: DistanceSet):
-        if not _star_verdict(n, t, D):
-            return _star_obstruction(n, t, D)
-        if D.members in ((0, 2), (0, 1, 2)):
+        key = D.members
+        if 2 in D and t in (0, n):
+            return Reason.CENTER_SOURCE_OR_SINK
+        if key == (2,):
+            return Reason.ZERO_WEIGHT_TIE
+        if key in ((0, 2), (0, 1, 2)):
             return _center_mid_labels(n, t)
-        return _leaf_index_labels(n)
+        if key == (0, 1) or key == (1,) and n == 1 or (n, t) == (2, 1):
+            return _leaf_index_labels(n)
+        if n >= 3:
+            return Reason.N_EXCEEDS_BOUND
+        return Reason.TWO_SINK_LEAVES if t == 0 else Reason.TWO_SOURCE_LEAVES
 
     return rule
 
@@ -283,6 +276,7 @@ def characterize_star(n: int, t: int, D) -> Verdict:
     Supported distance sets have maximum at most 2 (larger values raise
     :class:`UnsupportedDistanceSetError`).
     """
+    require_star_domain(DistanceSet.of(D))
     return decide(build_star(StarShape(n=n, t=t)), (D,), star_rule(n, t))
 
 
@@ -415,24 +409,16 @@ def homogeneous_rule(m: int, n: int, t: int) -> Rule:
     return rule
 
 
-def construct_homogeneous_forest_labeling(
-    m: int,
-    n: int,
-    t: int,
-    D,
-    *,
-    search_budget: int | None = None,
-) -> Verdict:
+def construct_homogeneous_forest_labeling(m: int, n: int, t: int, D) -> Verdict:
     """Decide m disjoint copies of K_{1,n} with t sources under D.
 
     The family's rule is :func:`homogeneous_rule`, whose closed forms
-    leave no single set to the search; ``search_budget`` is passed on
-    to :func:`decide` all the same.
+    leave no single set to the search.
     """
     D = DistanceSet.of(D)
     require_star_domain(D)
     g = build_homogeneous_forest(m, StarShape(n=n, t=t))
-    return decide(g, (D,), homogeneous_rule(m, n, t), search_budget)
+    return decide(g, (D,), homogeneous_rule(m, n, t))
 
 
 PI_DISTANCE_SETS: tuple[DistanceSet, ...] = (

@@ -174,30 +174,34 @@ class _Engine:
         for v in range(n):
             orbits.setdefault(classes[v], []).append(v)
         for members in orbits.values():
-            self.symmetry_order *= factorial(len(members))
-            for prev, nxt in zip(members, members[1:]):
-                self.orbit_prev[nxt] = prev
+            self._chain(members)
+
+    def _chain(self, members: list[int]) -> None:
+        # m interchangeable members take decreasing labels: one labeling in m!.
+        self.symmetry_order *= factorial(len(members))
+        for prev, nxt in zip(members, members[1:]):
+            self.orbit_prev[nxt] = prev
 
     def _chain_components(self, g: OrientedGraph, index: dict) -> None:
         # Two weakly connected components whose vertices, paired off in
         # index order, map arcs onto arcs can be swapped wholesale.  A
         # vertex alone in its twin class is fixed by every twin swap, so
-        # chaining such vertices of a family of m components through
-        # orbit_prev (labels decreasing in index order) picks one
-        # labeling out of every m! component permutations, and the
-        # group stays free: its order is the twin order times m!.
+        # chaining such vertices of a family of m components in index
+        # order picks one labeling out of every m! component
+        # permutations, and the group stays free.
         n = self.n
         arcs = [(index[a], index[b]) for a, b in g.arcs]
         # Union-find that always keeps the smaller index as the root, so
         # each root is its component's first vertex.
         root = list(range(n))
+
+        def find(v: int) -> int:
+            while root[v] != v:
+                root[v] = root[root[v]]
+                v = root[v]
+            return v
         for a, b in arcs:
-            while root[a] != a:
-                root[a] = root[root[a]]
-                a = root[a]
-            while root[b] != b:
-                root[b] = root[root[b]]
-                b = root[b]
+            a, b = find(a), find(b)
             if a < b:
                 root[b] = a
             elif b < a:
@@ -205,10 +209,7 @@ class _Engine:
         components: dict[int, list[int]] = {}
         position = [0] * n
         for v in range(n):
-            r = root[v]
-            while root[r] != r:
-                r = root[r]
-            root[v] = r
+            r = root[v] = find(v)
             members = components.setdefault(r, [])
             position[v] = len(members)
             members.append(v)
@@ -227,15 +228,9 @@ class _Engine:
             if prev >= 0:
                 alone[v] = alone[prev] = False
         for family in families.values():
-            if len(family) < 2:
-                continue
             fixed = next((i for i, v in enumerate(family[0]) if alone[v]), None)
-            if fixed is None:
-                continue
-            chain = sorted(members[fixed] for members in family)
-            for prev, nxt in zip(chain, chain[1:]):
-                self.orbit_prev[nxt] = prev
-            self.symmetry_order *= factorial(len(family))
+            if len(family) > 1 and fixed is not None:
+                self._chain(sorted(members[fixed] for members in family))
 
     def _schedule(self) -> tuple:
         """Every table that ``order`` fixes, with fresh final-weight dicts.

@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import antimagic
 from antimagic import (
     DistanceSet,
     ForestSpec,
@@ -29,6 +31,13 @@ from test_io import _JSON_VALUES
 D01 = DistanceSet.of([0, 1])
 D02 = DistanceSet.of([0, 2])
 D012 = DistanceSet.of([0, 1, 2])
+
+# ``python -m antimagic`` in a child process finds the package in src/.
+SRC = str(Path(antimagic.__file__).resolve().parents[1])
+CHILD_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+)
 
 
 def run_cli(argv, capsys):
@@ -810,8 +819,12 @@ def test_search_first_on_550_vertices_has_no_depth_limit(tmp_path, capsys):
         ("antimagic.constructions.verify_labeling", SimpleNamespace(antimagic=False),
          ["construct", "--family", "forest", "--spec", "1x2@0,1x3@1",
           "--d", "0,1", "--d", "0,1,2"]),
+        # A closed form that is not a bijection fails the gate too.
+        ("antimagic.constructions._leaf_index_labels",
+         {**{f"l{i}": 1 for i in range(1, 6)}, "c": 1},
+         ["construct", "--family", "star", "--n", "5", "--t", "2", "--d", "0,1"]),
     ],
-    ids=["closed-form-gate", "joint-witness-gate"],
+    ids=["closed-form-gate", "joint-witness-gate", "non-bijective-closed-form"],
 )
 def test_failed_gate_is_an_internal_error(target, failure, argv, capsys, monkeypatch):
     # A labeling that fails its own check is a bug, not "not antimagic":
@@ -893,6 +906,7 @@ def test_closed_stdout_pipe_exits_74_without_a_traceback(argv, tmp_path):
         [sys.executable, "-m", "antimagic", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=CHILD_ENV,
     )
     proc.stdout.close()
     err = proc.stderr.read()
@@ -969,6 +983,21 @@ def test_scan_writes_report_files(tmp_path, capsys):
         assert bad["antimagic"] is False
         assert bad["method"] == "necessary-condition"
         assert bad["witness"] is None
+
+
+@pytest.mark.parametrize("blocked", ["scan.json", "witness-000-0.json"])
+def test_scan_report_that_cannot_be_written_is_a_data_error(
+    tmp_path, capsys, blocked
+):
+    argv = ["scan", "--spec", "2x2", "--d", "0,1"]
+    _, table, _ = run_cli(argv, capsys)
+    out_dir = tmp_path / "report"
+    (out_dir / blocked).mkdir(parents=True)
+    code, out, err = run_cli(argv + ["--out", str(out_dir)], capsys)
+    assert code == 65
+    assert out == table
+    assert err.count("\n") == 1
+    assert "cannot write" in err
 
 
 # SHA-256 over the reference scan report (243 witness files, one per
@@ -1195,6 +1224,7 @@ def test_module_entry_point():
         ],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     doc = GraphDocument.from_json(proc.stdout)

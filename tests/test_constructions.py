@@ -114,6 +114,41 @@ def test_star_obstruction_reasons():
     assert (positive.method, positive.reason) == (BY_CONSTRUCTION, None)
 
 
+def paper_star_reason(n, t, D):
+    """The paper's table for K_{1,n} with t sources: None when the star
+    is D-antimagic, else the obstruction that rules it out."""
+    internal = 1 <= t <= n - 1
+    antimagic = {
+        D1: n == 1 or (n, t) == (2, 1),
+        D2: False,
+        D01: True,
+        D02: internal,
+        D12: (n, t) == (2, 1),
+        D012: internal,
+    }[D]
+    if antimagic:
+        return None
+    if 2 in D and not internal:
+        # Distance 2 exists in a star exactly when the center is internal.
+        return Reason.CENTER_SOURCE_OR_SINK
+    if D == D2:
+        # Every sink leaf weighs 0 under {2}, and so does the center.
+        return Reason.ZERO_WEIGHT_TIE
+    if n >= 3:
+        return Reason.N_EXCEEDS_BOUND
+    return Reason.TWO_SINK_LEAVES if t == 0 else Reason.TWO_SOURCE_LEAVES
+
+
+def test_every_star_reason_matches_the_paper_table():
+    for n in range(1, 7):
+        for t in range(n + 1):
+            for D in STAR_DISTANCE_SETS[1:]:
+                want = paper_star_reason(n, t, D)
+                verdict = star_verdict(n, t, D)
+                assert verdict.reason is want, (n, t, D)
+                assert (verdict.witness is not None) == (want is None), (n, t, D)
+
+
 def test_positive_decisions_carry_verified_witnesses():
     for n in range(1, 7):
         for t in range(n + 1):

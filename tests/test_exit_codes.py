@@ -147,8 +147,11 @@ scan_argv = st.tuples(
     st.just(["scan"]),
     flag("--spec", mostly(st.sampled_from(SCAN_SPECS), MALFORMED_SPECS)),
     budgets,
-    # A directory below a regular file cannot be made.
-    st.sampled_from(([], ["--out", "OUT"], ["--out", "GRAPH/out"])),
+    # A directory below a regular file cannot be made, and a report file
+    # cannot be written over a directory.
+    st.sampled_from(
+        ([], ["--out", "OUT"], ["--out", "GRAPH/out"], ["--out", "BLOCKED"])
+    ),
     distance_flags,
 )
 command_lines = st.one_of(construct_argv, verify_argv, search_argv, scan_argv).map(
@@ -179,8 +182,12 @@ def test_every_command_line_keeps_the_exit_code_contract(
     graph.write_text(document, encoding="utf-8")
     out_dir = tmp_path / "out"
     shutil.rmtree(out_dir, ignore_errors=True)
+    blocked = tmp_path / "blocked"
+    (blocked / "scan.json").mkdir(parents=True, exist_ok=True)
     argv = [
-        arg.replace("GRAPH", str(graph)).replace("OUT", str(out_dir)) for arg in argv
+        arg.replace("GRAPH", str(graph)).replace("OUT", str(out_dir))
+        .replace("BLOCKED", str(blocked))
+        for arg in argv
     ]
     if unknown_flag:
         argv.append("--frobnicate")
