@@ -459,7 +459,8 @@ def closed_form_forest_labeling(
 
     Returns a verified labeling when some closed form applies to this
     orientation class and distance set, else None (which only means no
-    closed form is known, not that the forest is refractory).
+    closed form is known, not that the forest is refractory).  A closed
+    form that fails verification is a bug and raises RuntimeError.
     """
     D = DistanceSet.of(D)
     require_star_domain(D)
@@ -473,8 +474,13 @@ def closed_form_forest_labeling(
     ts = orientation_sources(spec, orientation)
     if D.members == (0,):
         g = build_forest(spec, orientation)
-        return _gate(g, dict(Labeling.sequential(g)), D)
-    labels = forest_rule(spec.star_sizes(), ts)(D)
-    if labels is None:
-        return None
-    return _gate(build_forest(spec, orientation), labels, D)
+        labels = dict(Labeling.sequential(g))
+    else:
+        labels = forest_rule(spec.star_sizes(), ts)(D)
+        if labels is None:
+            return None
+        g = build_forest(spec, orientation)
+    labeling = _gate(g, labels, D)
+    if labeling is None:
+        raise RuntimeError(f"closed form failed verification under {D}")
+    return labeling

@@ -472,6 +472,23 @@ def test_closed_form_results_always_verify():
                 assert verify_labeling(g, labeling, D).antimagic, (text, D)
 
 
+def test_a_closed_form_failing_its_gate_raises_everywhere(monkeypatch):
+    # A broken form is a bug, never "no closed form known": both entry
+    # points to the single-sink form raise instead of returning None.
+    import antimagic.constructions as constructions
+
+    labels = constructions._single_sink_labels
+    monkeypatch.setattr(
+        constructions, "_single_sink_labels",
+        lambda sizes: dict.fromkeys(labels(sizes), 1),
+    )
+    spec = ForestSpec.parse("1x2,1x3")
+    with pytest.raises(RuntimeError, match="failed verification"):
+        closed_form_forest_labeling(spec, single_sink_orientation(spec), D01)
+    with pytest.raises(RuntimeError, match="failed verification"):
+        construct_pi_forest_labeling(spec, D01)
+
+
 # -- printed-formula regressions --------------------------------------
 
 def test_published_mixed_source_rule_is_not_bijective():

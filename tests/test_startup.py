@@ -84,9 +84,12 @@ def star_doc(tmp_path_factory):
         (["construct", "--family", "star", "--n", "2", "--t", "1", "--d", "1"],
          {"cli", "graph", "io", "constructions", "stars"}),
         (["search", "DOC", "--d", "0,1"], {"cli", "graph", "io", "search"}),
+        (["search", "DOC", "--d", "0,1", "--mode", "count"],
+         {"cli", "graph", "io", "search", "exhaustive"}),
     ],
     ids=["verify", "mstar-closed-form", "star-closed-form", "forest-pi",
-         "forest-closed-form", "mstar-single-source", "star-positive-1", "search"],
+         "forest-closed-form", "mstar-single-source", "star-positive-1", "search",
+         "search-count"],
 )
 def test_subcommand_loads_only_what_it_runs(argv, expected, star_doc):
     argv = [str(star_doc) if arg == "DOC" else arg for arg in argv]
@@ -110,6 +113,8 @@ def test_search_paths_still_load_no_dataclasses(argv, tmp_path):
     code, loaded, heavy = probe(argv, tmp_path)
     assert code == 0
     assert "search" in loaded
+    # Only the exhaustive modes compile their walk.
+    assert "exhaustive" not in loaded
     assert ("scan" in loaded) == (argv[0] == "scan")
     assert heavy == []
 
