@@ -13,11 +13,15 @@ order; only the bookkeeping changes:
 * the final weights of each set are one int, bit w set once a weight w
   is final, so a collision and a dead label are each one ``&``.
 
+The last depth has one free label left, so it has no loop: it tests
+that label in place, against the chain predecessor, the budget and the
+weights it closes, and counts or records it without placing it.
 With pruning off a collision does not cut; a local flag carries it to
 the last depth, which then counts nothing.  The source holds only
 integers and fixed names, never a vertex name.  Generating and
-compiling it costs about a millisecond, which the interpreted ``first``
-walk in ``search`` does not pay.
+compiling it costs about a millisecond at the default vertex cap, and
+more as the order grows (about 30 ms at 200 vertices), which the
+interpreted ``first`` walk in ``search`` does not pay.
 
 CPython rejects more than 20 statically nested loops, so the walk of a
 deep order is split into functions of at most ``DEPTHS_PER_FUNCTION``
@@ -63,7 +67,7 @@ def run(engine, mode: str, budget: int | None) -> bool:
 def _source(engine, mode: str) -> str:
     """Source of ``walk0(limit, append)``, which returns ``(nodes, count,
     first row)``, or calls ``append(row)`` per labeling in mode ``all``."""
-    room, sweep, adds, closes, _, conflicts = engine._schedule()
+    room, sweep, adds, closes, conflicts = engine._schedule()
     n, order, prune = engine.n, engine.order, engine.prune
     pos = [0] * n
     for depth, v in enumerate(order):

@@ -13,10 +13,7 @@ each weight becomes final: the member of a D-neighborhood placed last
 closes that weight, and every other member only adds its label to a
 partial sum.  ``_Engine._schedule`` derives this close schedule from
 the order before each run, and only closing a weight touches the table
-of final weights.  At the last depth a single free label is left; it
-is tested in place (against the chain predecessor, the budget, and the
-weights it closes, both against the final ones and against each
-other), then counted or recorded without being placed.
+of final weights.
 
 With pruning on, a partial assignment is cut as soon as two final
 weights collide, or as soon as an unused label equals a final weight
@@ -42,16 +39,17 @@ Both rules link a vertex to its predecessor in a chain.  A vertex with
 r chain successors still to place leaves r free labels below its own,
 so it only tries labels above the r-th smallest free label (the
 twin-room bound); that cuts only subtrees without a canonical
-labeling.  The bound and the last-depth step both need every chain
-predecessor placed before its successor; the engine checks that the
-order does so and raises RuntimeError (an internal error) if not.
+labeling.  The bound needs every chain predecessor placed before its
+successor; the engine checks that the order does so and raises
+RuntimeError (an internal error) if not.
 
 Each mode has one walk.  ``first`` is one loop over an explicit stack,
 not recursion, so its depth (one level per vertex) is bounded only by
 memory; it runs here because it must start at once on thousands of
 vertices.  ``count`` and ``all`` visit the whole tree of at most a few
 dozen vertices, so ``exhaustive`` compiles the walk per engine (about
-1 ms) into nested loops that run each node about three times as fast.
+1 ms at that size) into nested loops that run each node about three
+times as fast.
 
 A distance set that does not fit the graph (max(D) above the finite
 diameter) admits no D-antimagic labeling at all, so the search reports
@@ -249,8 +247,8 @@ class _Engine:
         for depth, v in enumerate(order):
             pos[v] = depth
         # room[v]: chain successors of v, each needing a free label below
-        # v's.  Both the twin-room floor and the last-depth step assume a
-        # chain predecessor is placed before its successor.
+        # v's.  The twin-room floor assumes a chain predecessor is placed
+        # before its successor.
         room = [0] * n
         for v in range(last, -1, -1):
             prev = self.orbit_prev[v]
@@ -274,12 +272,9 @@ class _Engine:
         # the flat slot d * n + w (weight of w under set d); every other
         # member only adds its label to partial[slot].  A close flagged
         # True lies past the set's first check depth, where the weight
-        # it closes must not be a free label.  The last vertex closes
-        # every slot it is in; last_closes groups those by set, to test
-        # its one free label against finals and against each other.
+        # it closes must not be a free label.
         adds: list[list[int]] = [[] for _ in range(n)]
         closes: list[list[tuple]] = [[] for _ in range(n)]
-        last_closes = []
         conflicts = 0
         slot = 0
         depth_of = pos.__getitem__
@@ -293,7 +288,6 @@ class _Engine:
                 if depth < last:
                     first = depth = max(depth, 0)
                     sweep[depth] += (fin,)
-            slots = []
             for nb in nbs:
                 if not nb:
                     # An empty neighborhood weighs 0 from the start.
@@ -309,12 +303,8 @@ class _Engine:
                         if u != closer:
                             adds[u].append(slot)
                 closes[closer].append((slot, fin, pos[closer] > first))
-                if pos[closer] == last:
-                    slots.append(slot)
                 slot += 1
-            if slots:
-                last_closes.append((slots, fin))
-        return room, sweep, adds, closes, last_closes, conflicts
+        return room, sweep, adds, closes, conflicts
 
     def run(self, mode: str, budget: int | None) -> bool:
         """One DFS from the empty assignment; True if the budget ran out.
@@ -323,14 +313,16 @@ class _Engine:
         Mode ``first`` keeps an explicit stack: ``order[depth]`` is the
         vertex placed at each depth.  Labels go from high to low along a
         doubly linked list of free labels, and a vertex with an orbit
-        predecessor takes a label below the predecessor's.
+        predecessor takes a label below the predecessor's.  The last
+        depth takes the same step as every other; a placement there that
+        leaves no two final weights equal is the witness.
         """
         if mode != "first":
             from . import exhaustive
             return exhaustive.run(self, mode, budget)
         n, order, prune = self.n, self.order, self.prune
         orbit_prev = self.orbit_prev
-        room, sweep, adds, closes, last_closes, conflicts = self._schedule()
+        room, sweep, adds, closes, conflicts = self._schedule()
         last = n - 1
         label_of = [0] * n
         used = [False] * (n + 1)
@@ -342,7 +334,6 @@ class _Engine:
         up = list(range(1, n + 3))
         partial = [0] * (self.k * n)
         verts = self.verts
-        self.count = 0
         self.witness: dict | None = None
         nodes = 0
         limit = -1 if budget is None else budget
@@ -351,35 +342,6 @@ class _Engine:
         depth = 0
         while True:
             v = order[depth]
-            if depth == last:
-                # One free label is left: test it in place, placing nothing.
-                label = down[n + 1]
-                prev = orbit_prev[v]
-                if prev < 0 or label < label_of[prev]:
-                    if nodes == limit:
-                        aborted = True
-                        break
-                    nodes += 1
-                    complete = not conflicts
-                    for slots, fin in last_closes:
-                        if not complete:
-                            break
-                        weights = set()
-                        for s in slots:
-                            weight = partial[s] + label
-                            if weight in fin or weight in weights:
-                                complete = False
-                                break
-                            weights.add(weight)
-                    if complete:
-                        self.count = 1
-                        label_of[v] = label
-                        self.witness = dict(zip(verts, label_of))
-                        break
-                if not depth:
-                    break
-                depth -= 1
-                continue
             label = label_of[v]
             if label:
                 # Back at this depth: undo the assignment tried last.
@@ -439,8 +401,11 @@ class _Engine:
                     fin[weight] = 1
                     if checked and weight <= n and not used[weight]:
                         dead = True
-            if dead or prune and conflicts:
+            if dead or conflicts and (prune or depth == last):
                 continue
+            if depth == last:
+                self.witness = dict(zip(verts, label_of))
+                break
             for fin in sweep[depth]:
                 free = down[n + 1]
                 while free and free not in fin:
@@ -523,14 +488,12 @@ def search_joint_labeling(
             nodes_explored=nodes,
             symmetry_order=engine.symmetry_order,
         )
-    witness, count = engine.witness, engine.count
-    status = SearchStatus.FOUND if (
-        witness is not None if mode == "first" else count > 0
-    ) else SearchStatus.EXHAUSTED
+    # The compiled walk records a witness whenever it counts one.
+    witness = engine.witness
     return SearchResult(
-        status=status,
-        witness=Labeling(witness) if witness is not None else None,
-        count=count if mode in ("all", "count") else None,
+        status=SearchStatus.EXHAUSTED if witness is None else SearchStatus.FOUND,
+        witness=None if witness is None else Labeling(witness),
+        count=None if mode == "first" else engine.count,
         nodes_explored=nodes,
         symmetry_order=engine.symmetry_order,
         labelings=tuple(engine.labelings) if mode == "all" else None,

@@ -2,8 +2,10 @@
 
 Three requests run under every other supported interpreter found on the
 path and under the one running the tests; their stdout and exit codes
-must match byte for byte.  An interpreter that is missing, or that is
-on the path but does not start, is skipped.
+must match byte for byte.  A pyenv shim that does not start on its own
+is retried under each installed version ``pyenv whence`` names for it.
+An interpreter that is missing, or that no installed version starts,
+is skipped.
 """
 
 import os
@@ -27,8 +29,8 @@ REQUESTS = (
 )
 
 
-def run_requests(python, doc):
-    env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
+def run_requests(python, doc, env=os.environ):
+    env = dict(env, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
     results = []
     for argv in REQUESTS:
         argv = [str(doc) if arg == "DOC" else arg for arg in argv]
@@ -52,13 +54,29 @@ def reference(doc):
     return run_requests(sys.executable, doc)
 
 
+def starting_env(python, name):
+    """An environment in which ``python`` starts, or None."""
+    # A version manager's shim can be on the path for a version that is
+    # installed but not selected here.
+    envs = [os.environ]
+    pyenv = shutil.which("pyenv")
+    if pyenv is not None:
+        whence = subprocess.run([pyenv, "whence", name], capture_output=True, text=True)
+        envs += [dict(os.environ, PYENV_VERSION=version)
+                 for version in whence.stdout.split()]
+    for env in envs:
+        if not subprocess.run([python, "-c", "pass"], capture_output=True,
+                              env=env).returncode:
+            return env
+    return None
+
+
 @pytest.mark.parametrize("name", ["python3.10", "python3.12", "python3.13"])
 def test_supported_interpreters_give_the_same_output(name, doc, reference):
     python = shutil.which(name)
     if python is None:
         pytest.skip(f"{name} is not on the path")
-    # A version manager's shim can be on the path for a version it will
-    # not run here.
-    if subprocess.run([python, "-c", "pass"], capture_output=True).returncode:
+    env = starting_env(python, name)
+    if env is None:
         pytest.skip(f"{name} does not start")
-    assert run_requests(python, doc) == reference
+    assert run_requests(python, doc, env) == reference

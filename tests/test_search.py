@@ -203,9 +203,9 @@ def test_budget_large_enough_is_invisible():
     ids=["count", "first-found", "first-refute"],
 )
 def test_every_budget_aborts_at_its_node_or_matches_the_free_run(n, t, D, mode):
-    # The last depth tests its one free label without placing it, so it
-    # repeats the budget test: budget b aborts on node b + 1 (the root
-    # included) and never changes a result it leaves room for.
+    # Every node, at the last depth as at any other, passes the budget
+    # test before it is counted: budget b aborts on node b + 1 (the root
+    # included), and a budget that covers every node changes nothing.
     g = build_star(StarShape(n=n, t=t))
     free = search_labeling(g, D, mode=mode)
     total = free.nodes_explored
@@ -386,7 +386,9 @@ def test_an_engine_runs_again_like_a_fresh_one(g, distance_sets):
         outcomes = []
         for e in (engine, fresh):
             e.run(mode, None)
-            outcomes.append((e.count, e.nodes, e.witness, e.symmetry_order))
+            # Only the compiled walk counts; ``first`` records a witness.
+            count = e.count if mode == "count" else None
+            outcomes.append((count, e.nodes, e.witness, e.symmetry_order))
         assert outcomes[0] == outcomes[1], mode
 
 
@@ -517,6 +519,38 @@ def test_twin_room_bound_keeps_the_scan_witnesses():
 
     assert len(full) == 432
     assert digest(twins_only) == digest(full) == SCAN_WITNESS_DIGEST
+
+
+#: SHA-256 of (status, nodes_explored, symmetry_order, witness in vertex
+#: order) of every first-mode search, budget 3,000, over the orientation
+#: classes of 2x3,2x4 and 3x2,2x4 under {0,1}, {0,2}, {0,1,2} and {1,2},
+#: each with pruning and symmetry reduction on and off.
+FIRST_TREE_DIGEST = "1ef9d9f5fba83e0cd73203ad5f5b0df13d196e096b9658865d51d6988f970289"
+
+
+def test_first_mode_trees_are_pinned_for_every_setting():
+    digest = hashlib.sha256()
+    searches = nodes = 0
+    for text in ("2x3,2x4", "3x2,2x4"):
+        spec = ForestSpec.parse(text)
+        for orientation in enumerate_forest_orientations(spec):
+            g = build_forest(spec, orientation)
+            for D in ((0, 1), (0, 2), (0, 1, 2), (1, 2)):
+                for prune in (True, False):
+                    for symmetry in (True, False):
+                        r = search_labeling(g, D, budget=3000,
+                                            prune=prune, symmetry=symmetry)
+                        witness = None if r.witness is None else [
+                            r.witness[v] for v in g.vertices
+                        ]
+                        digest.update(json.dumps([
+                            r.status.value, r.nodes_explored,
+                            r.symmetry_order, witness,
+                        ]).encode())
+                        searches += 1
+                        nodes += r.nodes_explored
+    assert (searches, nodes) == (4800, 2_190_000)
+    assert digest.hexdigest() == FIRST_TREE_DIGEST
 
 
 def test_exhaustive_modes_respect_the_vertex_cap(monkeypatch):
