@@ -20,12 +20,14 @@ With pruning off a collision does not cut; a local flag carries it to
 the last depth, which then counts nothing.  The source holds only
 integers and fixed names, never a vertex name.  Generating and
 compiling it costs about a millisecond at the default vertex cap, and
-more as the order grows (about 30 ms at 200 vertices), which the
-interpreted ``first`` walk in ``search`` does not pay.
+more as the order grows (about 20 ms at 200 vertices, 0.3 s at 2,000),
+which the interpreted ``first`` walk in ``search`` does not pay.
 
 CPython rejects more than 20 statically nested loops, so the walk of a
 deep order is split into functions of at most ``DEPTHS_PER_FUNCTION``
-loops, each calling the next with the names still in use.
+loops, each calling the next with the names still in use, the labels
+placed so far as one tuple ``L``.  So the source grows linearly with
+the order, bar the unrolled twin-room lines (quadratic in a class).
 """
 
 from __future__ import annotations
@@ -38,30 +40,24 @@ class BudgetExhausted(Exception):
     """Raised inside the generated walk when the node budget runs out."""
 
 
-def run(engine, mode: str, budget: int | None) -> bool:
-    """Walk ``engine``'s tree in mode ``count`` or ``all``; True on abort.
+def run(engine, mode: str, budget: int | None) -> tuple:
+    """Walk ``engine``'s tree in mode ``count`` or ``all``; returns
+    ``(aborted, nodes, first, count, rows)`` as ``_Engine.run`` does.
 
-    Sets ``engine.nodes`` (the root not counted), ``engine.count``,
-    ``engine.witness`` (the first labeling, vertex to label) and
-    ``engine.labelings`` (mode ``all``: one row of labels in vertex
-    order per labeling).
+    No row is verified here: ``search_joint_labeling`` passes ``first``
+    through the verifier under every set before it returns it.
     """
     limit = -1 if budget is None else budget
     namespace = {"BudgetExhausted": BudgetExhausted}
     exec(compile(_source(engine, mode), "<exhaustive walk>", "exec"), namespace)
     rows: list[tuple[int, ...]] = []
-    engine.count, engine.witness, engine.labelings = 0, None, rows
     try:
         nodes, count, first = namespace["walk0"](limit, rows.append)
     except BudgetExhausted:
-        engine.nodes = limit
-        return True
+        return True, limit, None, None, None
     if mode == "all":
-        count, first = len(rows), rows[0] if rows else None
-    engine.nodes, engine.count = nodes, count
-    if first is not None:
-        engine.witness = dict(zip(engine.verts, first))
-    return False
+        return False, nodes, rows[0] if rows else None, len(rows), rows
+    return False, nodes, first, count, None
 
 
 def _source(engine, mode: str) -> str:
@@ -72,7 +68,6 @@ def _source(engine, mode: str) -> str:
     pos = [0] * n
     for depth, v in enumerate(order):
         pos[v] = depth
-    row = "".join(f"l{pos[v]}, " for v in range(n))
     partial: dict[int, str] = {}  # slot -> name of its partial sum
     final: dict[int, str] = {}    # id of a set's final-weight table -> name
     # With pruning off, x is nonzero once two final weights collide.
@@ -80,6 +75,7 @@ def _source(engine, mode: str) -> str:
     lines = ["def walk0(limit, append):", " nodes = count = 0", " first = None",
              f" a0 = {(2 << n) - 2}"] + ([] if prune else [f" x = {conflicts}"])
     ind = " "
+    label = [f"l{k}" for k in range(n)]  # how the walk reads each depth's label
     if n == 1:
         # The last depth cuts with ``continue``, so it needs a loop.
         lines.append(ind + "for _ in (0,):")
@@ -87,22 +83,27 @@ def _source(engine, mode: str) -> str:
     for depth in range(n):
         v, last = order[depth], depth == n - 1
         if depth and depth % DEPTHS_PER_FUNCTION == 0 and not last:
-            # Chain into a new function; it takes every name still live.
-            names = [f"l{k}" for k in range(depth)] + [*partial.values(),
-                     *final.values(), f"a{depth}", *filter(None, [x])]
-            call = f"walk{depth}(limit, append, nodes, count, first, {', '.join(names)})"
+            # Chain into a new function; it takes every name still live,
+            # and the labels placed so far as one tuple L.
+            start = depth - DEPTHS_PER_FUNCTION
+            placed = "".join(f"{name}, " for name in label[start:depth])
+            label[start:depth] = [f"L[{k}]" for k in range(start, depth)]
+            live = ", ".join([*partial.values(), *final.values(), f"a{depth}",
+                              *filter(None, [x])])
+            head = f"walk{depth}(limit, append, nodes, count, first, "
+            call = f"{head}{'L + ' if start else ''}({placed}), {live})"
             lines += [ind + f"nodes, count, first = {call}",
-                      " return nodes, count, first", f"def {call}:"]
+                      " return nodes, count, first", f"def {head}L, {live}):"]
             ind = " "
         prev = engine.orbit_prev[v]
         if last:
             # One free label is left: test it in place.
             lines.append(ind + f"l{depth} = a{depth}.bit_length() - 1")
             if prev >= 0:
-                lines.append(ind + f"if l{depth} > l{pos[prev]}: continue")
+                lines.append(ind + f"if l{depth} > {label[pos[prev]]}: continue")
             body = ind
         else:
-            below = f" & ((1 << l{pos[prev]}) - 1)" if prev >= 0 else ""
+            below = f" & ((1 << {label[pos[prev]]}) - 1)" if prev >= 0 else ""
             lines.append(ind + f"m{depth} = a{depth}{below}")
             if room[v]:
                 # Keep only labels above the room[v]-th smallest free one.
@@ -148,6 +149,7 @@ def _source(engine, mode: str) -> str:
                 final[id(fin)] = name = f"f{len(lines)}"
                 lines.append(body + f"{name} = " + (f"{f} | {c}" if f else c))
         if last:
+            row = "".join(f"{label[pos[v]]}, " for v in range(n))
             if mode == "all":
                 lines.append(body + f"append(({row}))")
             else:

@@ -51,6 +51,11 @@ dozen vertices, so ``exhaustive`` compiles the walk per engine (about
 1 ms at that size) into nested loops that run each node about three
 times as fast.
 
+Each walk returns its outcome.  ``search_joint_labeling`` alone makes
+it a ``SearchResult``, and lets a witness out only once
+``verify_labeling`` passes it under every set; a failure is a bug and
+raises RuntimeError.
+
 A distance set that does not fit the graph (max(D) above the finite
 diameter) admits no D-antimagic labeling at all, so the search reports
 ``exhausted-none`` immediately and marks the shortcut.
@@ -79,6 +84,7 @@ from .graph import (
     VertexCapError,
     d_neighborhood,
     is_admissible,
+    verify_labeling,
     vertex_cap,
 )
 
@@ -94,7 +100,8 @@ class SearchResult(NamedTuple):
 
     ``nodes_explored`` counts visited search-tree nodes, the empty root
     included, so an exhaustion certificate records how much space was
-    actually covered.  ``symmetry_order`` is the order of the declared
+    actually covered.  A ``witness`` has passed the verifier under
+    every set searched.  ``symmetry_order`` is the order of the declared
     reduction group (1 when reduction is off); a reduced count times
     this order gives the unreduced count.  ``shortcut`` names a
     non-enumerative refutation when one applied.  ``labelings``, in
@@ -306,8 +313,11 @@ class _Engine:
                 slot += 1
         return room, sweep, adds, closes, conflicts
 
-    def run(self, mode: str, budget: int | None) -> bool:
-        """One DFS from the empty assignment; True if the budget ran out.
+    def run(self, mode: str, budget: int | None) -> tuple:
+        """One DFS from the empty assignment; returns ``(aborted, nodes,
+        first, count, rows)``: nodes without the root, the first labeling
+        as a row of labels in vertex order (or None), ``count`` None in
+        mode ``first`` and on abort, and ``rows`` only in mode ``all``.
 
         Modes ``count`` and ``all`` run the walk ``exhaustive`` compiles.
         Mode ``first`` keeps an explicit stack: ``order[depth]`` is the
@@ -333,11 +343,9 @@ class _Engine:
         down = list(range(-1, n + 1))
         up = list(range(1, n + 3))
         partial = [0] * (self.k * n)
-        verts = self.verts
-        self.witness: dict | None = None
+        first = None
         nodes = 0
         limit = -1 if budget is None else budget
-        aborted = False
         floor = [0] * n
         depth = 0
         while True:
@@ -382,8 +390,7 @@ class _Engine:
                 depth -= 1
                 continue
             if nodes == limit:
-                aborted = True
-                break
+                return True, nodes, None, None, None
             nodes += 1
             label_of[v] = label
             used[label] = True
@@ -404,7 +411,7 @@ class _Engine:
             if dead or conflicts and (prune or depth == last):
                 continue
             if depth == last:
-                self.witness = dict(zip(verts, label_of))
+                first = tuple(label_of)
                 break
             for fin in sweep[depth]:
                 free = down[n + 1]
@@ -414,8 +421,7 @@ class _Engine:
                     break
             else:
                 depth += 1
-        self.nodes = nodes
-        return aborted
+        return False, nodes, first, None, None
 
 
 def search_labeling(
@@ -434,7 +440,8 @@ def search_labeling(
     ``all`` additionally returns every labeling found, as rows of
     labels in ``g.vertices`` order.  The exhaustive
     modes are capped by :func:`vertex_cap`; ``first`` is not, but a
-    budget is recommended beyond the cap.
+    budget is recommended beyond the cap.  A witness is returned only
+    once the verifier passes it.
     """
     return search_joint_labeling(
         g, (D,), mode, budget, prune=prune, symmetry=symmetry
@@ -477,24 +484,21 @@ def search_joint_labeling(
                 labelings=() if mode == "all" else None,
             )
     engine = _Engine(g, sets, prune, symmetry)
-    aborted = engine.run(mode, budget)
-    # The empty root counts as a visited node.
-    nodes = engine.nodes + 1
-    if aborted:
-        return SearchResult(
-            status=SearchStatus.ABORTED,
-            witness=None,
-            count=None,
-            nodes_explored=nodes,
-            symmetry_order=engine.symmetry_order,
-        )
-    # The compiled walk records a witness whenever it counts one.
-    witness = engine.witness
+    aborted, nodes, first, count, rows = engine.run(mode, budget)
+    witness = None
+    if first is not None:
+        witness = Labeling(zip(g.vertices, first))
+        # Only the witness: verifying every row of ``all`` would outcost the search.
+        if not all(verify_labeling(g, witness, D).antimagic for D in sets):
+            raise RuntimeError("search returned an invalid witness")
+    status = (SearchStatus.ABORTED if aborted else
+              SearchStatus.EXHAUSTED if witness is None else SearchStatus.FOUND)
     return SearchResult(
-        status=SearchStatus.EXHAUSTED if witness is None else SearchStatus.FOUND,
-        witness=None if witness is None else Labeling(witness),
-        count=None if mode == "first" else engine.count,
-        nodes_explored=nodes,
+        status=status,
+        witness=witness,
+        count=count,
+        # The empty root counts as a visited node.
+        nodes_explored=nodes + 1,
         symmetry_order=engine.symmetry_order,
-        labelings=tuple(engine.labelings) if mode == "all" else None,
+        labelings=None if rows is None else tuple(rows),
     )

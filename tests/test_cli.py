@@ -815,8 +815,8 @@ def test_search_first_on_550_vertices_has_no_depth_limit(tmp_path, capsys):
         ("antimagic.constructions._gate", None,
          ["construct", "--family", "star", "--n", "5", "--t", "2", "--d", "0,1"]),
         # No closed form applies to either set, so the joint search runs
-        # and its witness meets the gate.
-        ("antimagic.constructions.verify_labeling", SimpleNamespace(antimagic=False),
+        # and its witness meets the search's own gate.
+        ("antimagic.search.verify_labeling", SimpleNamespace(antimagic=False),
          ["construct", "--family", "forest", "--spec", "1x2@0,1x3@1",
           "--d", "0,1", "--d", "0,1,2"]),
         # A closed form that is not a bijection fails the gate too.
@@ -843,7 +843,7 @@ def test_search_witness_failing_its_gate_is_an_internal_error(
 ):
     path, _ = write_star_doc(tmp_path, 4, 2)
     monkeypatch.setattr(
-        "antimagic.cli.verify_labeling",
+        "antimagic.search.verify_labeling",
         lambda *args, **kwargs: SimpleNamespace(antimagic=False),
     )
     for mode in ("first", "all"):

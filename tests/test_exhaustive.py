@@ -139,6 +139,22 @@ def test_a_walk_split_into_chained_functions_is_the_same_walk(depths, prune, mon
     assert split == whole
 
 
+@pytest.mark.parametrize("spec", ["1x15@5,1x16@5", "2x16@3", "3x11@1", "10x19@1"])
+def test_no_generated_line_names_more_labels_than_one_function_places(spec):
+    # Labels placed in earlier functions reach a chained function as one
+    # tuple, so the source grows linearly with the order.  A function
+    # places DEPTHS_PER_FUNCTION labels in its loops, and the last one
+    # may also hold the loop-free last depth.
+    g = build_forest(ForestSpec.parse(spec))
+    most = exhaustive.DEPTHS_PER_FUNCTION + 1
+    for prune in (True, False):
+        engine = _Engine(g, (DistanceSet.of((0, 1)), DistanceSet.of((0, 2))), prune, True)
+        for mode in ("count", "all"):
+            source = exhaustive._source(engine, mode)
+            for line in source.splitlines():
+                assert len(re.findall(r"\bl\d+\b", line)) <= most, line[:80]
+
+
 def forest_doc_path(tmp_path, stars, rename=str, name="forest.json"):
     doc = forest_document(stars)
     names = {v: rename(v) for v in doc["vertices"]}

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,37 @@ def test_first_is_deterministic_and_verified():
     assert a.status is SearchStatus.FOUND
     assert a.witness == b.witness
     assert verify_labeling(g, a.witness, {0, 1}).antimagic
+
+
+@pytest.mark.parametrize("mode", ["first", "count", "all"])
+def test_a_witness_failing_the_verifier_is_an_internal_error(mode, monkeypatch):
+    # The search gates its own witness, so no caller sees one that the
+    # verifier has not passed.
+    import antimagic.search as search
+
+    g = build_star(StarShape(n=4, t=2))
+    monkeypatch.setattr(
+        search, "verify_labeling", lambda *args: SimpleNamespace(antimagic=False)
+    )
+    with pytest.raises(RuntimeError, match="invalid witness"):
+        search_labeling(g, {0, 1}, mode)
+
+
+def test_a_joint_witness_is_verified_under_every_set(monkeypatch):
+    import antimagic.search as search
+
+    g = build_star(StarShape(n=4, t=2))
+    sets = ((0, 1), (0, 2), (0, 1, 2))
+    checked = []
+
+    def fails_the_last_set(graph, labeling, D):
+        checked.append(D)
+        return SimpleNamespace(antimagic=D != DistanceSet.of(sets[-1]))
+
+    monkeypatch.setattr(search, "verify_labeling", fails_the_last_set)
+    with pytest.raises(RuntimeError, match="invalid witness"):
+        search_joint_labeling(g, sets)
+    assert checked == [DistanceSet.of(D) for D in sets]
 
 
 def test_mode_all_returns_every_labeling():
@@ -383,12 +415,7 @@ def test_an_engine_runs_again_like_a_fresh_one(g, distance_sets):
     for mode in ("count", "first"):
         fresh = _Engine(g, sets, True, True)
         fresh.order = list(range(len(g)))
-        outcomes = []
-        for e in (engine, fresh):
-            e.run(mode, None)
-            # Only the compiled walk counts; ``first`` records a witness.
-            count = e.count if mode == "count" else None
-            outcomes.append((count, e.nodes, e.witness, e.symmetry_order))
+        outcomes = [(e.run(mode, None), e.symmetry_order) for e in (engine, fresh)]
         assert outcomes[0] == outcomes[1], mode
 
 
@@ -509,8 +536,8 @@ def test_twin_room_bound_keeps_the_scan_witnesses():
             # The bound on twin classes alone, without component chains.
             engine = _Engine(g, (DistanceSet.of(D),), True, False)
             engine._compute_orbits()
-            engine.run("first", None)
-            twins_only.append(engine.witness)
+            _, _, first, _, _ = engine.run("first", None)
+            twins_only.append(dict(zip(g.vertices, first)))
             full.append(dict(search_labeling(g, D).witness))
 
     def digest(witnesses):
