@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "graph": (
-        "UNREACHABLE",
         "DistanceSet",
         "GraphError",
         "Labeling",
@@ -24,7 +23,6 @@ _EXPORTS = {
         "OrientedGraph",
         "UnsupportedDistanceSetError",
         "WeightReport",
-        "d_neighborhood",
         "is_admissible",
         "verify_labeling",
         "vertex_cap",

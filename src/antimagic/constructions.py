@@ -176,7 +176,7 @@ def decide(
         answer = rule(D)
         if isinstance(answer, Reason):
             return _refusal(BY_THEOREM, answer, D)
-        if 0 not in D and sum(not g.out_neighbors(v) for v in g) > 1:
+        if 0 not in D and sum(not heads for heads in g.neighborhoods((1,))) > 1:
             return _refusal(BY_NECESSARY_CONDITION, Reason.MIN_D_POSITIVE, D)
         if not is_admissible(g, D):
             return _refusal(BY_UNFIT_DISTANCE_SET, Reason.UNFIT_DISTANCE_SET, D)

@@ -27,7 +27,7 @@ CPython rejects more than 20 statically nested loops, so the walk of a
 deep order is split into functions of at most ``DEPTHS_PER_FUNCTION``
 loops, each calling the next with the names still in use, the labels
 placed so far as one tuple ``L``.  So the source grows linearly with
-the order, bar the unrolled twin-room lines (quadratic in a class).
+the order.
 """
 
 from __future__ import annotations
@@ -108,7 +108,8 @@ def _source(engine, mode: str) -> str:
             if room[v]:
                 # Keep only labels above the room[v]-th smallest free one.
                 lines.append(ind + f"y = a{depth}")
-                lines += [ind + "y &= y - 1"] * (room[v] - 1)
+                if room[v] > 1:
+                    lines.append(ind + f"for _ in range({room[v] - 1}): y &= y - 1")
                 lines.append(ind + f"m{depth} &= -((y & -y) << 1)")
             body = ind + " "
             lines += [ind + f"while m{depth}:",

@@ -2,8 +2,7 @@
 
 An oriented graph is a digraph with no loops and at most one arc between
 any pair of vertices (so no two-cycles).  Distances are directed shortest
-path lengths; a pair with no directed path has infinite distance, exposed
-as :data:`UNREACHABLE`.
+path lengths.
 
 Given a distance set D, the D-neighborhood of a vertex u collects every
 vertex whose directed distance from u lies in D, and the D-weight of u
@@ -13,13 +12,9 @@ labeling is D-antimagic when all D-weights are pairwise distinct.
 
 from __future__ import annotations
 
-import math
 import os
-from collections import deque
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Mapping, NamedTuple
-
-UNREACHABLE = math.inf
 
 
 class GraphError(ValueError):
@@ -137,19 +132,23 @@ class OrientedGraph:
 
     Loops, duplicate arcs, two-cycles and undeclared endpoints raise
     :class:`GraphError`.  Instances never mutate after construction, so
-    they are safe to share between threads.
+    they are safe to share between threads.  Vertices are known by their
+    index in ``vertices``: ``_layers[u][d]`` holds the sorted indices of
+    the vertices at distance d from vertex u, one tuple per distance
+    0, 1, 2, ... up to the farthest vertex u reaches.
     """
 
     def __init__(self, vertices: Iterable, arcs: Iterable[tuple]):
         self._vertices = tuple(vertices)
-        out = {v: [] for v in self._vertices}
-        if len(out) != len(self._vertices):
+        self._index = index = {v: i for i, v in enumerate(self._vertices)}
+        if len(index) != len(self._vertices):
             raise GraphError("duplicate vertex identifiers")
+        out: list[list[int]] = [[] for _ in self._vertices]
         seen: set[tuple] = set()
         for tail, head in arcs:
-            if tail not in out:
+            if tail not in index:
                 raise GraphError(f"arc uses undeclared vertex {tail!r}")
-            if head not in out:
+            if head not in index:
                 raise GraphError(f"arc uses undeclared vertex {head!r}")
             if tail == head:
                 raise GraphError(f"loop at {tail!r}")
@@ -158,20 +157,24 @@ class OrientedGraph:
             if (head, tail) in seen:
                 raise GraphError(f"two-cycle between {tail!r} and {head!r}")
             seen.add((tail, head))
-            out[tail].append(head)
-        index = {v: i for i, v in enumerate(self._vertices)}
+            out[index[tail]].append(index[head])
         self._arcs = tuple(sorted(seen, key=lambda a: (index[a[0]], index[a[1]])))
-        self._dist = {}
-        for start in self._vertices:
-            row = {start: 0}
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for w in out[u]:
-                    if w not in row:
-                        row[w] = row[u] + 1
-                        queue.append(w)
-            self._dist[start] = row
+        layers = []
+        for start, heads in enumerate(out):
+            rows = [(start,)]
+            reached = {start, *heads}
+            frontier = heads
+            while frontier:
+                rows.append(tuple(sorted(frontier)))
+                after = []
+                for u in frontier:
+                    for w in out[u]:
+                        if w not in reached:
+                            reached.add(w)
+                            after.append(w)
+                frontier = after
+            layers.append(tuple(rows))
+        self._layers = tuple(layers)
 
     @property
     def vertices(self) -> tuple:
@@ -181,26 +184,22 @@ class OrientedGraph:
     def arcs(self) -> tuple:
         return self._arcs
 
-    def out_neighbors(self, v) -> tuple:
-        self._require(v)
-        # The BFS put v's heads right after v itself, in arc order.
-        return tuple(w for w, d in self._dist[v].items() if d == 1)
-
-    def distance(self, u, v) -> int | float:
-        """Directed shortest-path distance, ``UNREACHABLE`` when no path."""
-        self._require(u)
-        self._require(v)
-        return self._dist[u].get(v, UNREACHABLE)
-
-    def _require(self, v) -> None:
-        if v not in self._dist:
-            raise KeyError(f"unknown vertex {v!r}")
+    def neighborhoods(self, D) -> list[tuple[int, ...]]:
+        """Per vertex, in vertex order, the sorted indices of the vertices
+        whose directed distance from it lies in the distance set."""
+        members = DistanceSet.of(D).members
+        result = []
+        for layers in self._layers:
+            parts = [layers[d] for d in members if d < len(layers)]
+            # A single layer is already sorted, and shared rather than copied.
+            result.append(parts[0] if len(parts) == 1 else tuple(sorted(chain(*parts))))
+        return result
 
     def __len__(self) -> int:
         return len(self._vertices)
 
     def __contains__(self, v: object) -> bool:
-        return v in self._dist
+        return v in self._index
 
     def __iter__(self) -> Iterator:
         return iter(self._vertices)
@@ -295,14 +294,6 @@ class WeightReport(NamedTuple):
         return not self.collisions
 
 
-def d_neighborhood(g: OrientedGraph, u, D) -> frozenset:
-    """Vertices whose directed distance from u lies in the distance set."""
-    members = DistanceSet.of(D).members
-    g._require(u)
-    row = g._dist[u]
-    return frozenset(v for v, d in row.items() if d in members)
-
-
 def verify_labeling(g: OrientedGraph, labeling: Labeling, D) -> WeightReport:
     """Compute every D-weight and report all weight collisions.
 
@@ -313,10 +304,14 @@ def verify_labeling(g: OrientedGraph, labeling: Labeling, D) -> WeightReport:
     members = DistanceSet.of(D).members
     labeling = labeling if isinstance(labeling, Labeling) else Labeling(labeling)
     labeling.validate_for(g)
-    weights = {
-        u: sum(labeling[v] for v, d in g._dist[u].items() if d in members)
-        for u in g.vertices
-    }
+    label = [labeling[v] for v in g.vertices].__getitem__
+    weights = {}
+    for u, layers in zip(g.vertices, g._layers):
+        weight = 0
+        for d in members:
+            if d < len(layers):
+                weight += sum(map(label, layers[d]))
+        weights[u] = weight
     # Filled in vertex order, so the groups come in the order of their
     # first vertex.
     by_weight: dict[int, list] = {}
@@ -340,5 +335,4 @@ def is_admissible(g: OrientedGraph, D) -> bool:
     distance set it does not fit.
     """
     largest = DistanceSet.of(D).largest
-    # Stops at the first pair that far apart, without the full diameter.
-    return any(d >= largest for row in g._dist.values() for d in row.values())
+    return any(len(layers) > largest for layers in g._layers)

@@ -14,7 +14,7 @@ import json
 from json.encoder import encode_basestring, encode_basestring_ascii
 from typing import NamedTuple
 
-from .graph import DistanceSet, Labeling, OrientedGraph, d_neighborhood
+from .graph import DistanceSet, Labeling, OrientedGraph
 
 _DOT_COLORS = ("red", "blue", "green", "orange", "purple", "brown")
 
@@ -116,15 +116,16 @@ class GraphDocument(NamedTuple):
                 for D, color in zip(sets, _cycle_colors(len(sets)))
             )
             lines.append(f"  // weight brackets per distance set: {legend}")
-        for v in self.vertices:
-            if self.labeling is None:
-                lines.append(f"  {_quote(v)};")
-                continue
-            text = str(self.labeling[v])
-            for D in sets:
-                weight = sum(self.labeling[w] for w in d_neighborhood(g, v, D))
-                text += f" [{weight}]"
-            lines.append(f"  {_quote(v)} [label={_quote(text)}];")
+        if self.labeling is None:
+            lines += [f"  {_quote(v)};" for v in self.vertices]
+        else:
+            labels = [self.labeling[v] for v in g.vertices]
+            columns = [g.neighborhoods(D) for D in sets]
+            for v, label, *nbs in zip(g.vertices, labels, *columns):
+                text = str(label) + "".join(
+                    f" [{sum(map(labels.__getitem__, nb))}]" for nb in nbs
+                )
+                lines.append(f"  {_quote(v)} [label={_quote(text)}];")
         for tail, head in self.arcs:
             lines.append(f"  {_quote(tail)} -> {_quote(head)};")
         lines.append("}")

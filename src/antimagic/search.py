@@ -82,7 +82,6 @@ from .graph import (
     Labeling,
     OrientedGraph,
     VertexCapError,
-    d_neighborhood,
     is_admissible,
     verify_labeling,
     vertex_cap,
@@ -132,15 +131,8 @@ class _Engine:
         self.n = len(g)
         self.k = len(sets)
         self.prune = prune
-        verts = g.vertices
-        self.verts = verts
-        index = {v: i for i, v in enumerate(verts)}
-        self.nbs: list[list[tuple[int, ...]]] = []
-        for D in sets:
-            self.nbs.append([
-                tuple(sorted(map(index.__getitem__, d_neighborhood(g, v, D))))
-                for v in verts
-            ])
+        self.verts = g.vertices
+        self.nbs = [g.neighborhoods(D) for D in sets]
         degree = [sum(map(len, column)) for column in zip(*self.nbs)]
         # Largest D-neighborhoods first; the sort is stable, so ties
         # keep index order.
@@ -149,7 +141,7 @@ class _Engine:
         self.symmetry_order = 1
         if symmetry:
             self._compute_orbits()
-            self._chain_components(g, index)
+            self._chain_components(g)
 
     def _compute_orbits(self) -> None:
         # A transposition (u v) preserves one set's neighborhood structure
@@ -192,7 +184,7 @@ class _Engine:
         for prev, nxt in zip(members, members[1:]):
             self.orbit_prev[nxt] = prev
 
-    def _chain_components(self, g: OrientedGraph, index: dict) -> None:
+    def _chain_components(self, g: OrientedGraph) -> None:
         # Two weakly connected components whose vertices, paired off in
         # index order, map arcs onto arcs can be swapped wholesale.  A
         # vertex alone in its twin class is fixed by every twin swap, so
@@ -200,7 +192,7 @@ class _Engine:
         # order picks one labeling out of every m! component
         # permutations, and the group stays free.
         n = self.n
-        arcs = [(index[a], index[b]) for a, b in g.arcs]
+        arcs = [(a, b) for a, heads in enumerate(g.neighborhoods((1,))) for b in heads]
         # Union-find that always keeps the smaller index as the root, so
         # each root is its component's first vertex.
         root = list(range(n))
@@ -225,8 +217,9 @@ class _Engine:
             members.append(v)
         if len({len(members) for members in components.values()}) == len(components):
             return
-        # g.arcs is sorted by endpoint index and positions follow index
-        # within a component, so each shape below is already canonical.
+        # The arcs come sorted by endpoint index and positions follow
+        # index within a component, so each shape below is already
+        # canonical.
         shapes: dict[int, list[tuple[int, int]]] = {r: [] for r in components}
         for a, b in arcs:
             shapes[root[a]].append((position[a], position[b]))

@@ -155,6 +155,20 @@ def test_no_generated_line_names_more_labels_than_one_function_places(spec):
                 assert len(re.findall(r"\bl\d+\b", line)) <= most, line[:80]
 
 
+@pytest.mark.parametrize("prune", [True, False])
+def test_the_source_grows_linearly_with_a_twin_class(prune):
+    # The m leaves of K_{1,m} under {0,1}, bar the one source, form one
+    # twin class; each skips the labels its chain successors need in one
+    # loop line rather than one line per successor.
+    lines = {}
+    for m in (30, 60, 120):
+        engine = _Engine(build_star(StarShape(n=m, t=1)), (DistanceSet.of((0, 1)),),
+                         prune, True)
+        lines[m] = len(exhaustive._source(engine, "count").splitlines())
+    assert lines[60] <= 2 * lines[30]
+    assert lines[120] <= 2 * lines[60]
+
+
 def forest_doc_path(tmp_path, stars, rename=str, name="forest.json"):
     doc = forest_document(stars)
     names = {v: rename(v) for v in doc["vertices"]}

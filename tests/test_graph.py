@@ -1,4 +1,3 @@
-import math
 from itertools import combinations
 
 import pytest
@@ -7,7 +6,6 @@ from hypothesis import strategies as st
 
 import naive_oracle as oracle
 from antimagic import (
-    UNREACHABLE,
     DistanceSet,
     GraphError,
     Labeling,
@@ -15,7 +13,6 @@ from antimagic import (
     OrientedGraph,
     StarShape,
     build_star,
-    d_neighborhood,
     is_admissible,
     verify_labeling,
 )
@@ -98,38 +95,39 @@ def test_graph_preserves_vertex_order_and_sorts_arcs():
 
 def test_graph_keeps_only_vertices_arcs_and_distance_rows():
     g = OrientedGraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    assert set(vars(g)) == {"_vertices", "_arcs", "_dist"}
+    assert set(vars(g)) == {"_vertices", "_arcs", "_index", "_layers"}
 
 
 @settings(max_examples=60)
 @given(st.one_of(oriented_graphs(), small_graphs()), st.data())
-def test_out_neighbors_are_the_heads_in_input_order(g, data):
+def test_arcs_do_not_depend_on_input_order(g, data):
     arcs = data.draw(st.permutations(g.arcs))
     h = OrientedGraph(g.vertices, arcs)
     assert h.arcs == g.arcs
-    for v in h.vertices:
-        assert h.out_neighbors(v) == tuple(head for tail, head in arcs if tail == v)
+    assert h.neighborhoods({1}) == g.neighborhoods({1})
 
 
 @settings(max_examples=40)
 @given(st.one_of(oriented_graphs(), small_graphs()))
-def test_graph_unknown_vertex_raises_key_error(g):
+def test_graph_contains_exactly_its_vertices(g):
     assert "z" not in g
-    with pytest.raises(KeyError):
-        g.out_neighbors("z")
-    for v in g.vertices:
-        with pytest.raises(KeyError):
-            g.distance(v, "z")
-        with pytest.raises(KeyError):
-            g.distance("z", v)
+    assert all(v in g for v in g.vertices)
+
+
+def named(g, D) -> dict:
+    """``g.neighborhoods(D)`` keyed by vertex, as sets of vertices."""
+    return {
+        u: {g.vertices[i] for i in nb}
+        for u, nb in zip(g.vertices, g.neighborhoods(D))
+    }
 
 
 def test_distances_on_a_directed_path():
     g = OrientedGraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    assert g.distance("a", "c") == 2
-    assert g.distance("c", "a") == UNREACHABLE
-    assert g.distance("a", "a") == 0
-    assert math.isinf(g.distance("b", "a"))
+    assert g.neighborhoods({0}) == [(0,), (1,), (2,)]
+    assert g.neighborhoods({2}) == [(2,), (), ()]
+    # Nothing reaches back: c reaches no vertex, b only c.
+    assert g.neighborhoods({1, 2}) == [(1, 2), (2,), ()]
 
 
 def test_distance_takes_the_shorter_route():
@@ -137,17 +135,21 @@ def test_distance_takes_the_shorter_route():
     g = OrientedGraph(
         ["a", "b", "d"], [("a", "b"), ("b", "d"), ("a", "d")]
     )
-    assert g.distance("a", "d") == 1
+    assert named(g, {1})["a"] == {"b", "d"}
+    assert named(g, {2})["a"] == set()
 
 
 @settings(max_examples=60)
 @given(small_graphs())
 def test_distances_match_path_enumeration(g):
+    # Distances never reach |V|, so these layers hold every reachable pair.
+    got = {}
+    for d in range(len(g)):
+        for u, nb in named(g, {d}).items():
+            got.update(((u, v), d) for v in nb)
     for u in g.vertices:
         for v in g.vertices:
-            got = g.distance(u, v)
-            want = oracle.path_distance(g.arcs, u, v)
-            assert got == (UNREACHABLE if want is None else want)
+            assert got.get((u, v)) == oracle.path_distance(g.arcs, u, v)
 
 
 # -- neighborhoods ----------------------------------------------------
@@ -156,18 +158,17 @@ def test_star_neighborhoods_by_role():
     g = build_star(StarShape(n=4, t=2))
     sinks = {"l3", "l4"}
     # from a source leaf: the center at distance 1, sinks at distance 2
-    assert d_neighborhood(g, "l1", {2}) == frozenset(sinks)
-    assert d_neighborhood(g, "l1", {1}) == frozenset({"c"})
-    assert d_neighborhood(g, "c", {1}) == frozenset(sinks)
-    assert d_neighborhood(g, "l3", {1, 2}) == frozenset()
-    assert d_neighborhood(g, "c", {0, 2}) == frozenset({"c"})
+    assert named(g, {2})["l1"] == sinks
+    assert named(g, {1})["l1"] == {"c"}
+    assert named(g, {1})["c"] == sinks
+    assert named(g, {1, 2})["l3"] == set()
+    assert named(g, {0, 2})["c"] == {"c"}
 
 
 @settings(max_examples=60)
 @given(small_graphs())
 def test_zero_neighborhood_is_the_vertex_itself(g):
-    for v in g.vertices:
-        assert d_neighborhood(g, v, {0}) == frozenset({v})
+    assert g.neighborhoods({0}) == [(i,) for i in range(len(g))]
 
 
 @settings(max_examples=40)
@@ -175,10 +176,20 @@ def test_zero_neighborhood_is_the_vertex_itself(g):
 def test_neighborhood_of_union_is_union_of_neighborhoods(g, data):
     d1 = data.draw(st.sets(st.integers(0, 3), min_size=1, max_size=2))
     d2 = data.draw(st.sets(st.integers(0, 3), min_size=1, max_size=2))
-    for v in g.vertices:
-        assert d_neighborhood(g, v, d1 | d2) == d_neighborhood(
-            g, v, d1
-        ) | d_neighborhood(g, v, d2)
+    for whole, nb1, nb2 in zip(
+        g.neighborhoods(d1 | d2), g.neighborhoods(d1), g.neighborhoods(d2)
+    ):
+        assert set(whole) == set(nb1) | set(nb2)
+
+
+@settings(max_examples=60)
+@given(
+    st.one_of(oriented_graphs(), small_graphs()),
+    st.sets(st.integers(0, 3), min_size=1),
+)
+def test_neighborhoods_match_path_oracle(g, D):
+    want = oracle._index_neighborhoods(g.vertices, g.arcs, D)
+    assert g.neighborhoods(D) == [tuple(sorted(nb)) for nb in want]
 
 
 # -- labelings and weights --------------------------------------------

@@ -1,13 +1,22 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antimagic import DistanceSet, GraphError, Labeling, StarShape, build_star
+import naive_oracle as oracle
+from antimagic import (
+    DistanceSet,
+    GraphError,
+    Labeling,
+    StarShape,
+    build_forest,
+    build_star,
+)
 from antimagic.io import GraphDocument, json_text
 
-from forest_strategies import small_graphs
+from forest_strategies import STAR_SETS, forest_specs, small_graphs
 
 
 def star_document():
@@ -147,6 +156,22 @@ def test_dot_with_labeling_appends_one_bracket_per_set():
     assert '  "c" [label="3 [5] [2]"];' in lines
     assert '  "l1" [label="1 [4] [3]"];' in lines
     assert '  "l2" [label="2 [2] [0]"];' in lines
+
+
+@settings(max_examples=40)
+@given(forest_specs(), st.lists(st.sampled_from(STAR_SETS), min_size=1, max_size=3),
+       st.data())
+def test_dot_brackets_are_the_oracle_weights(spec, sets, data):
+    g = build_forest(spec)
+    labels = dict(zip(g.vertices, data.draw(st.permutations(range(1, len(g) + 1)))))
+    dot = GraphDocument.from_graph(g, Labeling(labels)).to_dot(sets)
+    got = dict(re.findall(r'^  "([^"]+)" \[label="(.*)"\];$', dot, re.M))
+    assert list(got) == list(g.vertices)
+    want = [oracle.weights(g.vertices, g.arcs, labels, D) for D in sets]
+    for v in g.vertices:
+        label, *brackets = got[v].split(" ")
+        assert int(label) == labels[v]
+        assert brackets == [f"[{weights[v]}]" for weights in want]
 
 
 def test_dot_legend_needs_both_sets_and_labeling():

@@ -125,7 +125,8 @@ def test_build_forest_uses_spec_orientations():
 def test_build_forest_orientation_override():
     spec = ForestSpec.parse("2x2")
     g = build_forest(spec, ((0, 2),))
-    assert g.out_neighbors("c1") == ("l1.1", "l1.2")
+    heads = g.neighborhoods({1})[g.vertices.index("c1")]
+    assert tuple(g.vertices[i] for i in heads) == ("l1.1", "l1.2")
     assert tuple(tail for tail, head in g.arcs if head == "c2") == ("l2.1", "l2.2")
     with pytest.raises(ValueError):
         build_forest(spec, ((0,),))
@@ -146,9 +147,10 @@ def test_build_forest_pi_fixes_one_sink_leaf_per_star():
     spec = ForestSpec.parse("2x3,1x4")
     assert single_sink_orientation(spec) == ((2, 2), (3,))
     g = build_forest(spec, single_sink_orientation(spec))
+    heads = dict(zip(g.vertices, g.neighborhoods({1})))
     for k, n in enumerate(spec.star_sizes(), start=1):
         center = f"c{k}"
-        assert g.out_neighbors(center) == (f"l{k}.{n}",)
+        assert heads[center] == (g.vertices.index(f"l{k}.{n}"),)
         assert sum(head == center for _, head in g.arcs) == n - 1
 
 
