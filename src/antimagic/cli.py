@@ -286,10 +286,6 @@ def _graph_of(doc: GraphDocument, path_arg: str) -> OrientedGraph:
         raise _DataError(f"{path_arg}: {exc}") from None
 
 
-def _ordered_labels(g: OrientedGraph, labeling) -> dict:
-    return {v: labeling[v] for v in g.vertices}
-
-
 def _print_json(payload: dict, file=None) -> None:
     """Write ``json.dumps(payload, indent=2)`` and a newline to ``file``.
 
@@ -489,14 +485,13 @@ def _cmd_verify(args) -> int:
     doc = _read_document(args.graph)
     g = _graph_of(doc, args.graph)
     labeling = _resolve_labeling(args, doc)
-    try:
-        labeling.validate_for(g)
-    except LabelingError as exc:
-        raise _DataError(str(exc)) from None
     reports = []
     overall = True
     for D in sets:
-        report = verify_labeling(g, labeling, D)
+        try:
+            report = verify_labeling(g, labeling, D)
+        except LabelingError as exc:
+            raise _DataError(str(exc)) from None
         overall = overall and report.antimagic
         reports.append(
             {
@@ -531,9 +526,8 @@ def _cmd_search(args) -> int:
         "status": result.status.value,
         "distance_sets": [str(D) for D in sets],
         "mode": args.mode,
-        "witness": (
-            _ordered_labels(g, result.witness) if result.witness is not None else None
-        ),
+        # The search builds its witness in vertex order.
+        "witness": None if result.witness is None else dict(result.witness),
         "count": result.count,
         "nodes_explored": result.nodes_explored,
         "symmetry_order": result.symmetry_order,

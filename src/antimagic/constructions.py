@@ -129,14 +129,17 @@ def require_star_domain(D: DistanceSet) -> None:
         )
 
 
-def _gate(g: OrientedGraph, labels: dict, D: DistanceSet) -> Labeling | None:
-    """Verify a candidate labeling; None when it fails the check, a
-    labeling that is not a bijection onto 1..|V| included."""
+def _gate(g: OrientedGraph, labels: dict, D: DistanceSet) -> Labeling:
+    """Verify a closed-form labeling under its own set.  Failing the
+    check, a labeling that is not a bijection onto 1..|V| included, is
+    a bug and raises RuntimeError."""
     labeling = Labeling(labels)
     try:
-        return labeling if verify_labeling(g, labeling, D).antimagic else None
+        if verify_labeling(g, labeling, D).antimagic:
+            return labeling
     except LabelingError:
-        return None
+        pass
+    raise RuntimeError(f"closed form failed verification under {D}")
 
 
 # -- the decision ladder ----------------------------------------------
@@ -184,8 +187,6 @@ def decide(
             candidates.append((D, answer))
     for D, labels in candidates:
         labeling = _gate(g, labels, D)
-        if labeling is None:
-            raise RuntimeError(f"closed form failed verification under {D}")
         if all(verify_labeling(g, labeling, E).antimagic for E in sets if E != D):
             return Verdict(ANTIMAGIC, BY_CONSTRUCTION, witness=labeling)
     for earlier in known:
@@ -443,10 +444,7 @@ def construct_pi_forest_labeling(spec: ForestSpec, D) -> Labeling:
             f"{{0,1}}, {{0,2}} and {{0,1,2}}, got {D}"
         )
     g = build_forest(spec, single_sink_orientation(spec))
-    labeling = _gate(g, _single_sink_labels(spec.star_sizes()), D)
-    if labeling is None:
-        raise RuntimeError(f"closed form failed verification under {D}")
-    return labeling
+    return _gate(g, _single_sink_labels(spec.star_sizes()), D)
 
 
 def closed_form_forest_labeling(
@@ -479,7 +477,4 @@ def closed_form_forest_labeling(
         if labels is None:
             return None
         g = build_forest(spec, orientation)
-    labeling = _gate(g, labels, D)
-    if labeling is None:
-        raise RuntimeError(f"closed form failed verification under {D}")
-    return labeling
+    return _gate(g, labels, D)

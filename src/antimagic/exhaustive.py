@@ -63,11 +63,8 @@ def run(engine, mode: str, budget: int | None) -> tuple:
 def _source(engine, mode: str) -> str:
     """Source of ``walk0(limit, append)``, which returns ``(nodes, count,
     first row)``, or calls ``append(row)`` per labeling in mode ``all``."""
-    room, sweep, adds, closes, conflicts = engine._schedule()
+    pos, room, sweep, adds, closes, conflicts = engine._schedule()
     n, order, prune = engine.n, engine.order, engine.prune
-    pos = [0] * n
-    for depth, v in enumerate(order):
-        pos[v] = depth
     partial: dict[int, str] = {}  # slot -> name of its partial sum
     final: dict[int, str] = {}    # id of a set's final-weight table -> name
     # With pruning off, x is nonzero once two final weights collide.

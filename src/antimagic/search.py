@@ -192,7 +192,7 @@ class _Engine:
         # order picks one labeling out of every m! component
         # permutations, and the group stays free.
         n = self.n
-        arcs = [(a, b) for a, heads in enumerate(g.neighborhoods((1,))) for b in heads]
+        out = g.neighborhoods((1,))
         # Union-find that always keeps the smaller index as the root, so
         # each root is its component's first vertex.
         root = list(range(n))
@@ -202,30 +202,26 @@ class _Engine:
                 root[v] = root[root[v]]
                 v = root[v]
             return v
-        for a, b in arcs:
-            a, b = find(a), find(b)
-            if a < b:
-                root[b] = a
-            elif b < a:
-                root[a] = b
+        for a, heads in enumerate(out):
+            for b in heads:
+                ra, rb = find(a), find(b)
+                if ra < rb:
+                    root[rb] = ra
+                elif rb < ra:
+                    root[ra] = rb
         components: dict[int, list[int]] = {}
-        position = [0] * n
         for v in range(n):
-            r = root[v] = find(v)
-            members = components.setdefault(r, [])
-            position[v] = len(members)
-            members.append(v)
+            components.setdefault(find(v), []).append(v)
         if len({len(members) for members in components.values()}) == len(components):
             return
-        # The arcs come sorted by endpoint index and positions follow
-        # index within a component, so each shape below is already
-        # canonical.
-        shapes: dict[int, list[tuple[int, int]]] = {r: [] for r in components}
-        for a, b in arcs:
-            shapes[root[a]].append((position[a], position[b]))
+        # A family's key is its shape, the arcs by position in index
+        # order.  Every vertex of a component is an endpoint of an arc,
+        # so the shape fixes the size; only a lone vertex has none.
         families: dict[tuple, list[list[int]]] = {}
-        for r, members in components.items():
-            families.setdefault((len(members), tuple(shapes[r])), []).append(members)
+        for members in components.values():
+            at = {v: i for i, v in enumerate(members)}
+            shape = tuple((at[a], at[b]) for a in members for b in out[a])
+            families.setdefault(shape, []).append(members)
         alone = [True] * n
         for v, prev in enumerate(self.orbit_prev):
             if prev >= 0:
@@ -304,7 +300,7 @@ class _Engine:
                             adds[u].append(slot)
                 closes[closer].append((slot, fin, pos[closer] > first))
                 slot += 1
-        return room, sweep, adds, closes, conflicts
+        return pos, room, sweep, adds, closes, conflicts
 
     def run(self, mode: str, budget: int | None) -> tuple:
         """One DFS from the empty assignment; returns ``(aborted, nodes,
@@ -325,7 +321,7 @@ class _Engine:
             return exhaustive.run(self, mode, budget)
         n, order, prune = self.n, self.order, self.prune
         orbit_prev = self.orbit_prev
-        room, sweep, adds, closes, conflicts = self._schedule()
+        _, room, sweep, adds, closes, conflicts = self._schedule()
         last = n - 1
         label_of = [0] * n
         used = [False] * (n + 1)

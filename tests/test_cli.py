@@ -812,7 +812,7 @@ def test_search_first_on_550_vertices_has_no_depth_limit(tmp_path, capsys):
 @pytest.mark.parametrize(
     "target, failure, argv",
     [
-        ("antimagic.constructions._gate", None,
+        ("antimagic.constructions.verify_labeling", SimpleNamespace(antimagic=False),
          ["construct", "--family", "star", "--n", "5", "--t", "2", "--d", "0,1"]),
         # No closed form applies to either set, so the joint search runs
         # and its witness meets the search's own gate.

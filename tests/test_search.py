@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from math import factorial
 from types import SimpleNamespace
 
@@ -578,6 +579,55 @@ def test_first_mode_trees_are_pinned_for_every_setting():
                         nodes += r.nodes_explored
     assert (searches, nodes) == (4800, 2_190_000)
     assert digest.hexdigest() == FIRST_TREE_DIGEST
+
+
+#: SHA-256 of (order, orbit_prev, symmetry_order) of every engine, pruning
+#: and symmetry reduction on, over 400 seeded random documents, each
+#: under one or two of STAR_SETS, and over the orientation classes of
+#: 2x3,2x4 and 3x2,2x4 under {0,1}, {0,2}, {0,1,2} and {1,2}.
+SETUP_DIGEST = "4816b43df1531982b08d74340cfb98432cbb20b0b3c68bc31c6e379c3317cf72"
+
+
+def _interleaved_document(rng: random.Random) -> OrientedGraph:
+    # One to three random oriented trees of one to five vertices, one to
+    # three copies of each, with every vertex list shuffled, so copies of
+    # one component interleave and meet in any index order.
+    vertices, arcs = [], []
+    for c in range(rng.randint(1, 3)):
+        size = rng.randint(1, 5)
+        tree = []
+        for j in range(1, size):
+            i = rng.randrange(j)
+            tree.append((i, j) if rng.random() < 0.5 else (j, i))
+        for k in range(rng.randint(1, 3)):
+            names = [f"c{c}.{k}.{i}" for i in range(size)]
+            vertices += names
+            arcs += [(names[a], names[b]) for a, b in tree]
+    rng.shuffle(vertices)
+    return OrientedGraph(vertices, arcs)
+
+
+def test_engine_setup_is_pinned():
+    rng = random.Random(28)
+    cases = []
+    for _ in range(400):
+        g = _interleaved_document(rng)
+        cases.append((g, rng.sample(STAR_SETS, rng.randint(1, 2))))
+    for text in ("2x3,2x4", "3x2,2x4"):
+        spec = ForestSpec.parse(text)
+        for orientation in enumerate_forest_orientations(spec):
+            g = build_forest(spec, orientation)
+            cases += [(g, [D]) for D in ((0, 1), (0, 2), (0, 1, 2), (1, 2))]
+    digest = hashlib.sha256()
+    chained = 0
+    for g, sets in cases:
+        engine = _Engine(g, tuple(map(DistanceSet.of, sets)), True, True)
+        digest.update(json.dumps([
+            engine.order, engine.orbit_prev, engine.symmetry_order,
+        ]).encode())
+        chained += engine.symmetry_order > 1
+    assert (len(cases), chained) == (1600, 1522)
+    assert digest.hexdigest() == SETUP_DIGEST
 
 
 def test_exhaustive_modes_respect_the_vertex_cap(monkeypatch):
