@@ -13,7 +13,8 @@ contract:
         set, a scan report that cannot be written)
     70  internal error: any uncaught RuntimeError, such as a construction
         or witness that fails its own verification
-    74  output error: the reader closed standard output early
+    74  output error: standard output could not be written (the reader
+        closed it early, or the disk is full)
 
 Each request is one process, so start-up counts.  A subcommand loads
 only the modules it runs: ``verify`` needs ``graph`` and ``io``
@@ -238,13 +239,17 @@ def main(argv=None) -> int:
         code = args.handler(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # The reader went away (``| head``).  Point stdout at devnull so
-        # the interpreter's flush at exit stays quiet, and never let a
-        # lost write read as a verdict.
+    except OSError as exc:
+        # Input and report file errors are _DataErrors by now, so this is
+        # stdout: the reader went away (``| head``) or a write failed.
+        # Point stdout at devnull so the interpreter's flush at exit
+        # stays quiet, and never let a lost write read as a verdict.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"antimagic {args.command}: cannot write output: {exc}",
+                  file=sys.stderr)
         return EXIT_IO
     except (_UsageError, VertexCapError) as exc:
         print(f"antimagic {args.command}: error: {exc}", file=sys.stderr)

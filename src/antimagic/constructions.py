@@ -173,7 +173,7 @@ def decide(
         budget = DEFAULT_CELL_BUDGET
     candidates = []
     for D in sets:
-        if D.members == (0,):
+        if D == (0,):
             candidates.append((D, Labeling.sequential(g)))
             continue
         answer = rule(D)
@@ -254,14 +254,13 @@ def star_rule(n: int, t: int) -> Rule:
     """
 
     def rule(D: DistanceSet):
-        key = D.members
         if 2 in D and t in (0, n):
             return Reason.CENTER_SOURCE_OR_SINK
-        if key == (2,):
+        if D == (2,):
             return Reason.ZERO_WEIGHT_TIE
-        if key in ((0, 2), (0, 1, 2)):
+        if D in ((0, 2), (0, 1, 2)):
             return _center_mid_labels(n, t)
-        if key == (0, 1) or key == (1,) and n == 1 or (n, t) == (2, 1):
+        if D == (0, 1) or D == (1,) and n == 1 or (n, t) == (2, 1):
             return _leaf_index_labels(n)
         if n >= 3:
             return Reason.N_EXCEEDS_BOUND
@@ -371,14 +370,14 @@ def forest_rule(sizes: tuple[int, ...], ts: tuple[int, ...]) -> Rule:
         if not uniform:
             return None
         m, n, t = len(sizes), sizes[0], ts[0]
-        if D.members == (0, 1):
+        if D == (0, 1):
             if t == 0:
                 return _all_sink_labels(m, n)
             if t == n:
                 return _all_source_labels(m, n)
             if 1 <= t <= n - 2:
                 return _mixed_labels(m, n, t)
-        elif D.members in ((0, 2), (0, 1, 2)) and 1 <= t <= n - 1:
+        elif D in ((0, 2), (0, 1, 2)) and 1 <= t <= n - 1:
             return _distance_two_labels(m, n, t)
         return None
 
@@ -389,20 +388,21 @@ def homogeneous_rule(m: int, n: int, t: int) -> Rule:
     """:func:`forest_rule` for m copies of one star, plus its theorem.
 
     {0,2} and {0,1,2} need internal centers (1 <= t <= n-1): without
-    them no vertex is two steps from another.  Where two forms give the
-    same labeling (the distance-two and single-sink forms at t = n-1,
-    the all-sink and single-sink forms at n = 1), this family lists it
-    in the order of the form it always used, so its output stays the same.
+    them no vertex is two steps from another.  The two overrides below
+    answer with the same mapping as :func:`forest_rule`, which takes the
+    single-sink form at t = n-1 and n = 1; they stay because the emitted
+    labeling lists its vertices in the order of the form that built it,
+    so this family's documents keep the distance-two and all-sink order.
     Every orientation has a closed form under each set not refuted.
     """
     forest = forest_rule((n,) * m, (t,) * m)
 
     def rule(D: DistanceSet):
-        if D.members in ((0, 2), (0, 1, 2)):
+        if D in ((0, 2), (0, 1, 2)):
             if not 1 <= t <= n - 1:
                 return Reason.CENTER_SOURCE_OR_SINK
             return _distance_two_labels(m, n, t)
-        if D.members == (0, 1) and t == 0:
+        if D == (0, 1) and t == 0:
             return _all_sink_labels(m, n)
         return forest(D)
 
@@ -469,7 +469,7 @@ def closed_form_forest_labeling(
     # Checks the orientation as build_forest would; the graph itself is
     # built only once a closed form applies.
     ts = orientation_sources(spec, orientation)
-    if D.members == (0,):
+    if D == (0,):
         g = build_forest(spec, orientation)
         labels = dict(Labeling.sequential(g))
     else:

@@ -59,23 +59,24 @@ class UnsupportedDistanceSetError(ValueError):
     """Distance set outside the star domain (some member above 2)."""
 
 
-class DistanceSet:
-    """A nonempty set of nonnegative integer distances, kept sorted.
+class DistanceSet(tuple):
+    """A nonempty set of nonnegative integer distances: the sorted tuple
+    of its distances, so ``DistanceSet([2, 0]) == (0, 2)``.
 
     Accepts any iterable of ints.  ``DistanceSet.parse`` reads the
     comma-separated command line form, e.g. ``"0,2"``.
     """
 
-    __slots__ = ("members",)
+    __slots__ = ()
 
-    def __init__(self, distances: Iterable[int]):
-        members = tuple(sorted(set(distances)))
+    def __new__(cls, distances: Iterable[int]):
+        members = sorted(set(distances))
         if not members:
             raise ValueError("distance set must be nonempty")
         for d in members:
             if not isinstance(d, int) or isinstance(d, bool) or d < 0:
                 raise ValueError(f"distances must be nonnegative integers, got {d!r}")
-        self.members = members
+        return super().__new__(cls, members)
 
     @classmethod
     def of(cls, value: "DistanceSet | Iterable[int]") -> "DistanceSet":
@@ -92,35 +93,17 @@ class DistanceSet:
 
     @property
     def smallest(self) -> int:
-        return self.members[0]
+        return self[0]
 
     @property
     def largest(self) -> int:
-        return self.members[-1]
-
-    def __contains__(self, distance: object) -> bool:
-        return distance in self.members
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, DistanceSet) and self.members == other.members
-
-    def __lt__(self, other: "DistanceSet") -> bool:
-        return self.members < other.members
-
-    def __hash__(self) -> int:
-        return hash(self.members)
+        return self[-1]
 
     def __str__(self) -> str:
-        return "{" + ",".join(str(d) for d in self.members) + "}"
+        return "{" + ",".join(map(str, self)) + "}"
 
     def __repr__(self) -> str:
-        return f"DistanceSet({list(self.members)!r})"
+        return f"DistanceSet({list(self)!r})"
 
 
 class OrientedGraph:
@@ -187,10 +170,10 @@ class OrientedGraph:
     def neighborhoods(self, D) -> list[tuple[int, ...]]:
         """Per vertex, in vertex order, the sorted indices of the vertices
         whose directed distance from it lies in the distance set."""
-        members = DistanceSet.of(D).members
+        D = DistanceSet.of(D)
         result = []
         for layers in self._layers:
-            parts = [layers[d] for d in members if d < len(layers)]
+            parts = [layers[d] for d in D if d < len(layers)]
             # A single layer is already sorted, and shared rather than copied.
             result.append(parts[0] if len(parts) == 1 else tuple(sorted(chain(*parts))))
         return result
@@ -301,14 +284,14 @@ def verify_labeling(g: OrientedGraph, labeling: Labeling, D) -> WeightReport:
     report's ``antimagic`` flag is true exactly when no two vertices
     share a weight.
     """
-    members = DistanceSet.of(D).members
+    D = DistanceSet.of(D)
     labeling = labeling if isinstance(labeling, Labeling) else Labeling(labeling)
     labeling.validate_for(g)
     label = [labeling[v] for v in g.vertices].__getitem__
     weights = {}
     for u, layers in zip(g.vertices, g._layers):
         weight = 0
-        for d in members:
+        for d in D:
             if d < len(layers):
                 weight += sum(map(label, layers[d]))
         weights[u] = weight

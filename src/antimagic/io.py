@@ -11,6 +11,7 @@ label and one bracketed weight per requested distance set.
 from __future__ import annotations
 
 import json
+from itertools import cycle
 from json.encoder import encode_basestring, encode_basestring_ascii
 from typing import NamedTuple
 
@@ -113,7 +114,7 @@ class GraphDocument(NamedTuple):
         if sets and self.labeling is not None:
             legend = ", ".join(
                 f"{D}={color}"
-                for D, color in zip(sets, _cycle_colors(len(sets)))
+                for D, color in zip(sets, cycle(_DOT_COLORS))
             )
             lines.append(f"  // weight brackets per distance set: {legend}")
         if self.labeling is None:
@@ -172,7 +173,3 @@ def json_text(value, ascii: bool = True, level: int = 0) -> str:
 def _quote(text: str) -> str:
     escaped = text.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'
-
-
-def _cycle_colors(count: int) -> list[str]:
-    return [_DOT_COLORS[i % len(_DOT_COLORS)] for i in range(count)]

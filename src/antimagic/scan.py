@@ -60,7 +60,7 @@ def scan_orientations(
     sets = [DistanceSet.of(D) for D in distance_sets]
     if not sets:
         raise ValueError("need at least one distance set")
-    widest_first = sorted(sets, key=lambda D: -len(D.members))
+    widest_first = sorted(sets, key=lambda D: -len(D))
     sizes = spec.star_sizes()
     rows = []
     for orientation in enumerate_forest_orientations(spec):

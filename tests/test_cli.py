@@ -428,6 +428,60 @@ def test_dot_construct_builds_its_graph_once(argv, capsys, monkeypatch):
     assert len(builds) == 1
 
 
+STAR_SETS_TEXT = ("0", "1", "2", "0,1", "0,2", "1,2", "0,1,2")
+
+
+def construct_corpus():
+    """The construct requests ``CONSTRUCT_DIGEST`` covers, in order."""
+    for n in range(1, 6):
+        for t in range(n + 1):
+            for d in STAR_SETS_TEXT:
+                yield ["--family", "star", "--n", str(n), "--t", str(t), "--d", d]
+    for m in (2, 3):
+        for n in range(1, 5):
+            for t in range(n + 1):
+                for d in STAR_SETS_TEXT:
+                    yield ["--family", "mstar", "--m", str(m), "--n", str(n),
+                           "--t", str(t), "--d", d]
+    for family, spec in (("forest", "1x2@1,1x3@0"), ("forest", "2x3@1"),
+                         ("forest-pi", "3x3,2x4,1x5")):
+        for d in STAR_SETS_TEXT:
+            yield ["--family", family, "--spec", spec, "--d", d]
+    for budget, d in (("2", "0,1"), ("0", "0,2")):
+        yield ["--family", "forest", "--spec", "1x2@1,1x3@0", "--d", d,
+               "--budget", budget]
+    for joint in (["--d", "0,1", "--d", "0,2"], ["--d", "0", "--d", "0,1"]):
+        yield ["--family", "star", "--n", "2", "--t", "1", *joint]
+        yield ["--family", "mstar", "--m", "2", "--n", "3", "--t", "1", *joint]
+        yield ["--family", "forest", "--spec", "1x2@1,1x3@0", *joint]
+    dot = ["--format", "dot"]
+    for n in range(1, 4):
+        for t in range(n + 1):
+            yield ["--family", "star", "--n", str(n), "--t", str(t),
+                   "--d", "0,1", "--d", "0,2", *dot]
+    four = ["--d", "0", "--d", "0,1", "--d", "0,2", "--d", "0,1,2", *dot]
+    yield ["--family", "star", "--n", "3", "--t", "1", *four]
+    yield ["--family", "mstar", "--m", "2", "--n", "3", "--t", "1", *four]
+    yield ["--family", "forest", "--spec", "2x3@1", *four]
+    yield ["--family", "forest-pi", "--spec", "3x3,2x4,1x5", "--d", "0,1", *dot]
+
+
+# SHA-256 over (argv, exit code, stdout) of every request in
+# construct_corpus(), each as the repr of that triple and a NUL.
+CONSTRUCT_DIGEST = "b43c71c13da952b83794db1e71fba782a17e3a8e3908a99fe6cbece018bb43a2"
+
+
+def test_construct_output_is_byte_stable(capsys):
+    digest = hashlib.sha256()
+    codes = []
+    for argv in construct_corpus():
+        code, out, _ = run_cli(["construct", *argv], capsys)
+        codes.append(code)
+        digest.update(repr((argv, code, out)).encode() + b"\0")
+    assert {code: codes.count(code) for code in set(codes)} == {0: 169, 2: 207, 3: 2}
+    assert digest.hexdigest() == CONSTRUCT_DIGEST
+
+
 # -- verify -----------------------------------------------------------
 
 def test_verify_embedded_labeling(tmp_path, capsys):
@@ -876,6 +930,21 @@ def test_search_order_breaking_a_chain_is_an_internal_error(
     assert "chain predecessor" in err
 
 
+def with_large_documents(argv, tmp_path):
+    """``argv`` with FOREST and MSTAR replaced by document paths: a
+    2x3@1 forest, and 10x19@0 with its sequential labeling."""
+    spec = ForestSpec.parse("2x3@1")
+    forest = build_forest(spec, tuple(group.sources for group in spec.groups))
+    mstar = build_homogeneous_forest(10, StarShape(n=19, t=0))
+    documents = {
+        "FOREST": GraphDocument.from_graph(forest),
+        "MSTAR": GraphDocument.from_graph(mstar, Labeling.sequential(mstar)),
+    }
+    for name, doc in documents.items():
+        (tmp_path / name).write_text(doc.to_json(), encoding="utf-8")
+    return [str(tmp_path / arg) if arg in documents else arg for arg in argv]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -892,16 +961,7 @@ def test_search_order_breaking_a_chain_is_an_internal_error(
     ids=["large", "small", "search-all", "verify-large"],
 )
 def test_closed_stdout_pipe_exits_74_without_a_traceback(argv, tmp_path):
-    spec = ForestSpec.parse("2x3@1")
-    forest = build_forest(spec, tuple(group.sources for group in spec.groups))
-    mstar = build_homogeneous_forest(10, StarShape(n=19, t=0))
-    documents = {
-        "FOREST": GraphDocument.from_graph(forest),
-        "MSTAR": GraphDocument.from_graph(mstar, Labeling.sequential(mstar)),
-    }
-    for name, doc in documents.items():
-        (tmp_path / name).write_text(doc.to_json(), encoding="utf-8")
-    argv = [str(tmp_path / arg) if arg in documents else arg for arg in argv]
+    argv = with_large_documents(argv, tmp_path)
     proc = subprocess.Popen(
         [sys.executable, "-m", "antimagic", *argv],
         stdout=subprocess.PIPE,
@@ -913,6 +973,35 @@ def test_closed_stdout_pipe_exits_74_without_a_traceback(argv, tmp_path):
     proc.stderr.close()
     assert proc.wait() == 74
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--family", "mstar", "--m", "60", "--n", "40", "--t", "0",
+         "--d", "0"],
+        ["construct", "--family", "star", "--n", "2", "--t", "1", "--d", "0,1"],
+        ["search", "FOREST", "--d", "0,1", "--mode", "all"],
+        ["verify", "MSTAR", "--d", "1"],
+        ["scan", "--spec", "2x2", "--d", "0,1"],
+    ],
+    ids=["large", "small", "search-all", "verify-large", "scan"],
+)
+def test_full_stdout_exits_74_with_one_line(argv, tmp_path):
+    argv = with_large_documents(argv, tmp_path)
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "antimagic", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=CHILD_ENV,
+        )
+    err = proc.stderr.decode()
+    assert proc.returncode == 74
+    assert err.count("\n") == 1
+    assert err.startswith(f"antimagic {argv[0]}: cannot write output: ")
+    assert "Traceback" not in err
 
 
 def test_results_escape_non_ascii_while_documents_keep_utf8(tmp_path, capsys):

@@ -168,7 +168,7 @@ def test_characterization_matches_brute_force_decision():
         for t in range(n + 1):
             g = build_star(StarShape(n=n, t=t))
             for D in STAR_DISTANCE_SETS:
-                want = oracle.decides_antimagic(g.vertices, g.arcs, D.members)
+                want = oracle.decides_antimagic(g.vertices, g.arcs, D)
                 verdict = decide(g, (D,), star_rule(n, t))
                 assert (verdict.status == ANTIMAGIC) == want, (n, t, D)
 

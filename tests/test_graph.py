@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import combinations
 
 import pytest
@@ -22,13 +24,14 @@ from forest_strategies import oriented_graphs, small_graphs, star_shapes
 # -- DistanceSet ------------------------------------------------------
 
 def test_distance_set_normalizes_and_sorts():
-    assert DistanceSet([2, 0, 2]).members == (0, 2)
+    assert DistanceSet([2, 0, 2]) == (0, 2)
     assert str(DistanceSet([2, 0])) == "{0,2}"
+    assert repr(DistanceSet([2, 0])) == "DistanceSet([0, 2])"
 
 
 def test_distance_set_parse_round_trip():
     D = DistanceSet.parse("0,1,2")
-    assert D.members == (0, 1, 2)
+    assert D == (0, 1, 2)
     assert DistanceSet.parse(str(D)[1:-1]) == D
     assert DistanceSet.parse(" 2, 0") == DistanceSet([0, 2])
 
@@ -59,6 +62,19 @@ def test_distance_set_ordering_and_hash():
     assert 1 in DistanceSet([0, 1]) and 2 not in DistanceSet([0, 1])
     assert DistanceSet([0, 2]).smallest == 0
     assert DistanceSet([0, 2]).largest == 2
+
+
+@given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=8),
+       st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=8))
+def test_distance_set_is_its_sorted_tuple(xs, ys):
+    D, E = DistanceSet(xs), DistanceSet(ys)
+    want = tuple(sorted(set(xs)))
+    assert type(D) is DistanceSet and isinstance(D, tuple)
+    assert D == want and hash(D) == hash(want)
+    assert (D < E) == (want < tuple(sorted(set(ys))))
+    assert DistanceSet.parse(str(D)[1:-1]) == D
+    for copied in (pickle.loads(pickle.dumps(D)), copy.deepcopy(D)):
+        assert type(copied) is DistanceSet and copied == D
 
 
 # -- OrientedGraph ----------------------------------------------------

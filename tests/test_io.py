@@ -158,6 +158,12 @@ def test_dot_with_labeling_appends_one_bracket_per_set():
     assert '  "l2" [label="2 [2] [0]"];' in lines
 
 
+def test_dot_legend_colors_wrap_after_six_sets():
+    sets = [[0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]]
+    legend = star_document().to_dot(distance_sets=sets).splitlines()[1]
+    assert legend.endswith("{1,2}=brown, {0,1,2}=red")
+
+
 @settings(max_examples=40)
 @given(forest_specs(), st.lists(st.sampled_from(STAR_SETS), min_size=1, max_size=3),
        st.data())

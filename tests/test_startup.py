@@ -23,7 +23,7 @@ import pytest
 import antimagic
 from antimagic import cli, constructions, graph, search
 from antimagic.constructions import Verdict
-from antimagic.graph import WeightReport
+from antimagic.graph import DistanceSet, WeightReport
 from antimagic.io import GraphDocument
 from antimagic.scan import ScanRow
 from antimagic.search import SearchResult, SearchStatus
@@ -241,6 +241,7 @@ def test_star_record_validation_messages(build, message):
 def test_records_are_immutable():
     g = build_star(StarShape(n=2, t=1))
     records = [
+        (DistanceSet([0, 2]), "smallest"),
         (StarShape(3, 1), "t"),
         (StarGroup(2, 3), "sources"),
         (ForestSpec.parse("2x3"), "groups"),
