@@ -133,6 +133,13 @@ class _DataError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own print_help drops a failed write; a help text
+        # lost on stdout must reach main's output error exit instead.
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -231,14 +238,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # Filled while parsing, so a failed --help write knows its command.
+    args = argparse.Namespace()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
+        parser.parse_args(argv, args)
         code = args.handler(args)
         sys.stdout.flush()
         return code
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except OSError as exc:
         # Input and report file errors are _DataErrors by now, so this is
         # stdout: the reader went away (``| head``) or a write failed.
@@ -248,8 +256,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         if not isinstance(exc, BrokenPipeError):
-            print(f"antimagic {args.command}: cannot write output: {exc}",
-                  file=sys.stderr)
+            prog = " ".join(filter(None, (parser.prog, args.command)))
+            print(f"{prog}: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
     except (_UsageError, VertexCapError) as exc:
         print(f"antimagic {args.command}: error: {exc}", file=sys.stderr)

@@ -250,7 +250,9 @@ def star_rule(n: int, t: int) -> Rule:
       TWO_SOURCE_LEAVES otherwise.
 
     Every refusal names its obstruction, and every positive answer has
-    a closed form, so no star reaches the search.
+    a closed form, so no star reaches the search.  Read as one rule, the
+    table says: K_{1,n} with t sources is D-antimagic iff D fits and no
+    two vertices share a D-neighbourhood.
     """
 
     def rule(D: DistanceSet):

@@ -63,14 +63,14 @@ def run(engine, mode: str, budget: int | None) -> tuple:
 def _source(engine, mode: str) -> str:
     """Source of ``walk0(limit, append)``, which returns ``(nodes, count,
     first row)``, or calls ``append(row)`` per labeling in mode ``all``."""
-    pos, room, sweep, adds, closes, conflicts = engine._schedule()
+    pos, room, sweep, adds, closes = engine._schedule()
     n, order, prune = engine.n, engine.order, engine.prune
     partial: dict[int, str] = {}  # slot -> name of its partial sum
     final: dict[int, str] = {}    # id of a set's final-weight table -> name
     # With pruning off, x is nonzero once two final weights collide.
     x = "" if prune else "x"
     lines = ["def walk0(limit, append):", " nodes = count = 0", " first = None",
-             f" a0 = {(2 << n) - 2}"] + ([] if prune else [f" x = {conflicts}"])
+             f" a0 = {(2 << n) - 2}"] + ([] if prune else [" x = 0"])
     ind = " "
     label = [f"l{k}" for k in range(n)]  # how the walk reads each depth's label
     if n == 1:
@@ -115,10 +115,6 @@ def _source(engine, mode: str) -> str:
                       body + f"m{depth} ^= b"]
         lines += [body + "if nodes == limit: raise BudgetExhausted",
                   body + "nodes += 1"]
-        if prune and conflicts:
-            # Two empty neighbourhoods already weigh 0 under one set.
-            lines.append(body + "continue")
-            break
         if not last:
             lines.append(body + f"a{depth + 1} = a{depth} ^ b")
         elif x:

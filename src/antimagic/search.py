@@ -56,9 +56,13 @@ it a ``SearchResult``, and lets a witness out only once
 ``verify_labeling`` passes it under every set; a failure is a bug and
 raises RuntimeError.
 
-A distance set that does not fit the graph (max(D) above the finite
-diameter) admits no D-antimagic labeling at all, so the search reports
-``exhausted-none`` immediately and marks the shortcut.
+Two refutations need no walk, and the search reports ``exhausted-none``
+at once with the shortcut named.  A distance set that does not fit the
+graph (max(D) above the finite diameter) admits no D-antimagic labeling
+at all.  Neither does a graph in which two vertices have the same
+D-neighborhood, for they weigh the same under every labeling.  That is
+read off the neighborhood tables the engine builds anyway, so no walk
+ever sees a tie.
 
 Budgets are non-negative node counts, not wall-clock, so aborts are
 reproducible.
@@ -86,6 +90,10 @@ from .graph import (
     verify_labeling,
     vertex_cap,
 )
+
+
+#: The shortcut of a graph in which two vertices share a D-neighborhood.
+EQUAL_NEIGHBORHOODS = "equal-neighborhoods"
 
 
 class SearchStatus(str, Enum):
@@ -234,8 +242,10 @@ class _Engine:
     def _schedule(self) -> tuple:
         """Every table that ``order`` fixes, with fresh final-weight dicts.
 
+        ``search_joint_labeling`` refuses a graph with two equal
+        D-neighborhoods before any walk starts, so no walk sees a tie.
         Raises RuntimeError if ``order`` places a vertex before its chain
-        predecessor.
+        predecessor, or if one set has two empty neighborhoods.
         """
         n, order = self.n, self.order
         last = n - 1
@@ -271,7 +281,6 @@ class _Engine:
         # it closes must not be a free label.
         adds: list[list[int]] = [[] for _ in range(n)]
         closes: list[list[tuple]] = [[] for _ in range(n)]
-        conflicts = 0
         slot = 0
         depth_of = pos.__getitem__
         for nbs in self.nbs:
@@ -284,11 +293,12 @@ class _Engine:
                 if depth < last:
                     first = depth = max(depth, 0)
                     sweep[depth] += (fin,)
+            if nbs.count(()) > 1:
+                raise RuntimeError("two empty neighborhoods reached the search")
             for nb in nbs:
                 if not nb:
-                    # An empty neighborhood weighs 0 from the start.
-                    conflicts += 0 in fin
-                    fin[0] = fin.get(0, 0) + 1
+                    # An empty neighborhood weighs 0, below every label,
+                    # so it closes nothing.
                     slot += 1
                     continue
                 if len(nb) == 1:
@@ -300,7 +310,7 @@ class _Engine:
                             adds[u].append(slot)
                 closes[closer].append((slot, fin, pos[closer] > first))
                 slot += 1
-        return pos, room, sweep, adds, closes, conflicts
+        return pos, room, sweep, adds, closes
 
     def run(self, mode: str, budget: int | None) -> tuple:
         """One DFS from the empty assignment; returns ``(aborted, nodes,
@@ -321,8 +331,9 @@ class _Engine:
             return exhaustive.run(self, mode, budget)
         n, order, prune = self.n, self.order, self.prune
         orbit_prev = self.orbit_prev
-        _, room, sweep, adds, closes, conflicts = self._schedule()
+        _, room, sweep, adds, closes = self._schedule()
         last = n - 1
+        conflicts = 0
         label_of = [0] * n
         used = [False] * (n + 1)
         # Free labels, linked both ways: down[l] is the next smaller free
@@ -462,17 +473,11 @@ def search_joint_labeling(
         raise ValueError("need at least one distance set")
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be a non-negative node count, got {budget!r}")
-    for D in sets:
-        if not is_admissible(g, D):
-            return SearchResult(
-                status=SearchStatus.EXHAUSTED,
-                witness=None,
-                count=0 if mode in ("all", "count") else None,
-                nodes_explored=0,
-                shortcut=UNFIT_DISTANCE_SET,
-                labelings=() if mode == "all" else None,
-            )
+    if not all(is_admissible(g, D) for D in sets):
+        return _refuted(mode, UNFIT_DISTANCE_SET)
     engine = _Engine(g, sets, prune, symmetry)
+    if any(len(set(nbs)) < len(nbs) for nbs in engine.nbs):
+        return _refuted(mode, EQUAL_NEIGHBORHOODS)
     aborted, nodes, first, count, rows = engine.run(mode, budget)
     witness = None
     if first is not None:
@@ -490,4 +495,16 @@ def search_joint_labeling(
         nodes_explored=nodes + 1,
         symmetry_order=engine.symmetry_order,
         labelings=None if rows is None else tuple(rows),
+    )
+
+
+def _refuted(mode: str, shortcut: str) -> SearchResult:
+    """The result of a refutation that walked no tree."""
+    return SearchResult(
+        status=SearchStatus.EXHAUSTED,
+        witness=None,
+        count=0 if mode in ("all", "count") else None,
+        nodes_explored=0,
+        shortcut=shortcut,
+        labelings=() if mode == "all" else None,
     )

@@ -49,6 +49,13 @@ def neighborhood(vertices, arcs, u, distances):
     return {v for v in vertices if path_distance(arcs, u, v) in set(distances)}
 
 
+def has_equal_neighborhoods(vertices, arcs, distances):
+    """Do two vertices have the same D-neighborhood?  They then weigh
+    the same under every labeling."""
+    nbs = [frozenset(neighborhood(vertices, arcs, u, distances)) for u in vertices]
+    return len(set(nbs)) < len(nbs)
+
+
 def weights(vertices, arcs, labels, distances):
     return {
         u: sum(labels[v] for v in neighborhood(vertices, arcs, u, distances))

@@ -282,7 +282,7 @@ def test_exhaustive_search_throughput():
         assert (result.count or 0) * result.symmetry_order == unreduced, (sets, mode)
         nodes += result.nodes_explored
     elapsed = time.perf_counter() - start
-    assert nodes == 350_521
+    assert nodes == 350_510
     assert elapsed < 60
     report(
         f"exhaustive DFS, 6 reference count-cap searches, {nodes:,} nodes "

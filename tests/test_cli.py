@@ -723,6 +723,24 @@ def test_search_unfit_distance_set_shortcut(tmp_path, capsys):
     assert payload["nodes_explored"] == 0
 
 
+def test_search_refuses_equal_neighborhoods_without_a_walk(tmp_path, capsys):
+    # 6x5@2 plus a directed 3-cycle a -> b -> c -> a: under {0,1,2} each
+    # cycle vertex reaches the other two, so all three weigh the same.
+    forest = build_forest(ForestSpec.parse("6x5@2"))
+    cycle = [("a", "b"), ("b", "c"), ("c", "a")]
+    g = OrientedGraph([*forest.vertices, "a", "b", "c"], [*forest.arcs, *cycle])
+    path = tmp_path / "tie39.json"
+    path.write_text(GraphDocument.from_graph(g).to_json(), encoding="utf-8")
+    argv = ["search", str(path), "--d", "0,1,2", "--budget", "200000"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["status"] == "exhausted-none"
+    assert payload["shortcut"] == "equal-neighborhoods"
+    assert payload["nodes_explored"] == 0
+    assert payload["symmetry_order"] == 1
+
+
 def test_search_empty_graph_exits_two(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text('{"vertices": [], "arcs": []}', encoding="utf-8")
@@ -985,8 +1003,13 @@ def test_closed_stdout_pipe_exits_74_without_a_traceback(argv, tmp_path):
         ["search", "FOREST", "--d", "0,1", "--mode", "all"],
         ["verify", "MSTAR", "--d", "1"],
         ["scan", "--spec", "2x2", "--d", "0,1"],
+        # argparse writes help itself and would drop the failed write
+        ["--help"],
+        ["search", "--help"],
+        ["construct", "--help"],
     ],
-    ids=["large", "small", "search-all", "verify-large", "scan"],
+    ids=["large", "small", "search-all", "verify-large", "scan", "help",
+         "search-help", "construct-help"],
 )
 def test_full_stdout_exits_74_with_one_line(argv, tmp_path):
     argv = with_large_documents(argv, tmp_path)
@@ -1000,7 +1023,8 @@ def test_full_stdout_exits_74_with_one_line(argv, tmp_path):
     err = proc.stderr.decode()
     assert proc.returncode == 74
     assert err.count("\n") == 1
-    assert err.startswith(f"antimagic {argv[0]}: cannot write output: ")
+    prog = "antimagic" if argv[0] == "--help" else f"antimagic {argv[0]}"
+    assert err.startswith(f"{prog}: cannot write output: ")
     assert "Traceback" not in err
 
 

@@ -20,6 +20,7 @@ from antimagic import (
     closed_form_forest_labeling,
     construct_homogeneous_forest_labeling,
     construct_pi_forest_labeling,
+    is_admissible,
     search_labeling,
     single_sink_orientation,
     verify_labeling,
@@ -147,6 +148,23 @@ def test_every_star_reason_matches_the_paper_table():
                 verdict = star_verdict(n, t, D)
                 assert verdict.reason is want, (n, t, D)
                 assert (verdict.witness is not None) == (want is None), (n, t, D)
+
+
+def test_a_star_is_refused_exactly_when_its_set_is_unfit_or_tied():
+    # The paper's table read as one rule: K_{1,n} with t sources is
+    # D-antimagic iff D fits and no two vertices share a D-neighborhood.
+    cells = refusals = 0
+    for n in range(1, 12):
+        for t in range(n + 1):
+            g = build_star(StarShape(n=n, t=t))
+            rule = star_rule(n, t)
+            for D in STAR_DISTANCE_SETS[1:]:
+                nbs = g.neighborhoods(D)
+                refused = not is_admissible(g, D) or len(set(nbs)) < len(nbs)
+                assert isinstance(rule(D), Reason) == refused, (n, t, D)
+                cells += 1
+                refusals += refused
+    assert (cells, refusals) == (462, 271)
 
 
 def test_positive_decisions_carry_verified_witnesses():

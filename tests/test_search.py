@@ -5,7 +5,7 @@ from math import factorial
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import naive_oracle as oracle
@@ -26,7 +26,7 @@ from antimagic import (
     vertex_cap,
     verify_labeling,
 )
-from antimagic.search import UNFIT_DISTANCE_SET, _Engine
+from antimagic.search import EQUAL_NEIGHBORHOODS, UNFIT_DISTANCE_SET, _Engine
 from forest_strategies import STAR_SETS, oriented_graphs, repeated_star_forests
 
 
@@ -104,7 +104,9 @@ def test_counts_match_brute_force_on_all_small_stars():
     When the distance set exceeds the star's finite diameter the search
     reports a decision-level zero with a shortcut, while the mechanical
     count can be positive (every neighborhood degenerates); both halves
-    of that split are asserted.
+    of that split are asserted.  A fitting set under which two vertices
+    share a neighborhood is refused by the other shortcut, and the
+    mechanical count is zero there too.
     """
     for n in range(1, 5):
         for t in range(n + 1):
@@ -115,7 +117,12 @@ def test_counts_match_brute_force_on_all_small_stars():
                 if max(D) <= diameter:
                     want = oracle.count_antimagic(g.vertices, g.arcs, D)
                     assert got.count == want, (n, t, D)
-                    assert got.shortcut is None
+                    if oracle.has_equal_neighborhoods(g.vertices, g.arcs, D):
+                        assert want == 0, (n, t, D)
+                        assert got.shortcut == EQUAL_NEIGHBORHOODS
+                        assert got.nodes_explored == 0
+                    else:
+                        assert got.shortcut is None
                 else:
                     assert got.count == 0, (n, t, D)
                     assert got.shortcut == UNFIT_DISTANCE_SET
@@ -198,12 +205,15 @@ def test_the_empty_graph_takes_the_diameter_shortcut():
 
 
 def test_refute_confirms_no_distance_two_labeling():
+    # Under {2} the centre and both sink leaves reach nothing: three
+    # empty neighborhoods, refused before any walk.
     g = build_star(StarShape(n=3, t=1))
     result = search_labeling(g, {2}, mode="first")
     assert result.status is SearchStatus.EXHAUSTED
     assert result.witness is None
-    assert result.nodes_explored > 0
-    assert result.shortcut is None
+    assert result.nodes_explored == 0
+    assert result.shortcut == EQUAL_NEIGHBORHOODS
+    assert oracle.count_antimagic(g.vertices, g.arcs, (2,)) == 0
 
 
 def test_refute_fails_with_a_counterexample_when_labelings_exist():
@@ -239,10 +249,15 @@ def test_every_budget_aborts_at_its_node_or_matches_the_free_run(n, t, D, mode):
     # Every node, at the last depth as at any other, passes the budget
     # test before it is counted: budget b aborts on node b + 1 (the root
     # included), and a budget that covers every node changes nothing.
+    # A tied graph is refused with 0 nodes before any walk, so every
+    # budget, 0 included, gives the free answer.
     g = build_star(StarShape(n=n, t=t))
     free = search_labeling(g, D, mode=mode)
     total = free.nodes_explored
-    assert total > n + 1  # the instance backtracks
+    if free.shortcut is None:
+        assert total > n + 1  # the instance backtracks
+    else:
+        assert (free.shortcut, total) == (EQUAL_NEIGHBORHOODS, 0)
     for b in range(total + 2):
         capped = search_labeling(g, D, mode=mode, budget=b)
         if b < total - 1:
@@ -318,7 +333,8 @@ def test_pruned_and_unpruned_counts_match_the_oracle(g, distance_sets):
         (build_star(StarShape(n=9, t=3)), (0, 2), "count", 6_045, 840 * 4_320),
         (build_forest(ForestSpec.parse("1x3@1,1x3@1")), (0, 1), "all", 8_314,
          2_652 * 4),
-        (build_star(StarShape(n=9, t=4)), (1,), "refute", 11, 0),
+        # Tied, so refused by the shortcut with no node walked.
+        (build_star(StarShape(n=9, t=4)), (1,), "refute", 0, 0),
         (build_forest(ForestSpec.parse("1x4@2,1x4@2")), (0, 1), "count",
          109_166, 13_379 * 32),
         (build_forest(ForestSpec.parse("1x4@1,1x4@1")), (0, 2), "count",
@@ -351,6 +367,7 @@ def test_exhaustive_node_totals_do_not_depend_on_value_order(
         g, sets, mode="first" if mode == "refute" else mode
     )
     assert result.nodes_explored == nodes
+    assert result.shortcut == (EQUAL_NEIGHBORHOODS if nodes == 0 else None)
     assert (result.count or 0) * result.symmetry_order == unreduced
 
 
@@ -380,6 +397,49 @@ def test_first_mode_runs_on_two_thousand_vertices():
     assert verify_labeling(g, result.witness, {0, 1}).antimagic
 
 
+def tied(engine: _Engine) -> bool:
+    """Do two vertices share a neighborhood under one of the engine's sets?"""
+    return any(len(set(nbs)) < len(nbs) for nbs in engine.nbs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    oriented_graphs(max_vertices=7),
+    st.lists(
+        st.sets(st.integers(0, 3), min_size=1).map(sorted), min_size=1, max_size=2
+    ),
+    st.sampled_from(["first", "count", "all"]),
+    st.one_of(st.none(), st.integers(0, 50)),
+)
+def test_equal_neighborhoods_are_refused_before_any_walk(g, distance_sets, mode, budget):
+    # Two vertices with one D-neighborhood weigh the same under every
+    # labeling, so the shortcut fires exactly on fitting tied graphs,
+    # at any budget, and the oracle finds no labeling there.
+    result = search_joint_labeling(g, distance_sets, mode, budget)
+    diameter = oracle.finite_diameter(g.vertices, g.arcs)
+    fits = all(max(D) <= diameter for D in distance_sets)
+    tie = any(
+        oracle.has_equal_neighborhoods(g.vertices, g.arcs, D) for D in distance_sets
+    )
+    assert (result.shortcut == EQUAL_NEIGHBORHOODS) == (fits and tie)
+    if result.shortcut == EQUAL_NEIGHBORHOODS:
+        assert oracle.count_joint_antimagic(g.vertices, g.arcs, distance_sets) == 0
+        assert result.status is SearchStatus.EXHAUSTED
+        assert (result.nodes_explored, result.symmetry_order) == (0, 1)
+        assert result.count == (None if mode == "first" else 0)
+        assert result.labelings == (() if mode == "all" else None)
+
+
+def test_a_tie_handed_straight_to_an_engine_is_an_internal_error():
+    # Without the search's refusal in front, two empty neighborhoods
+    # would tie at weight 0 unseen; the schedule refuses them instead.
+    g = build_star(StarShape(n=3, t=1))
+    engine = _Engine(g, (DistanceSet.of((2,)),), True, True)
+    for mode in ("first", "count", "all"):
+        with pytest.raises(RuntimeError, match="empty neighborhoods"):
+            engine.run(mode, None)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     oriented_graphs(),
@@ -395,7 +455,8 @@ def test_the_order_places_every_chain_predecessor_first(g, distance_sets):
     for v, prev in enumerate(engine.orbit_prev):
         if prev >= 0:
             assert depth[prev] < depth[v]
-    engine.run("count", 0)  # the guard passes; the budget stops at once
+    if not tied(engine):  # a tie never reaches a walk
+        engine.run("count", 0)  # the guard passes; the budget stops at once
 
 
 @settings(max_examples=100, deadline=None)
@@ -411,6 +472,7 @@ def test_an_engine_runs_again_like_a_fresh_one(g, distance_sets):
     # above all its tables of final weights, may reach the next.
     sets = tuple(DistanceSet.of(D) for D in distance_sets)
     engine = _Engine(g, sets, True, True)
+    assume(not tied(engine))  # a tie never reaches a walk
     engine.run("count", None)
     engine.order = list(range(len(g)))
     for mode in ("count", "first"):
@@ -551,14 +613,17 @@ def test_twin_room_bound_keeps_the_scan_witnesses():
 
 #: SHA-256 of (status, nodes_explored, symmetry_order, witness in vertex
 #: order) of every first-mode search, budget 3,000, over the orientation
-#: classes of 2x3,2x4 and 3x2,2x4 under {0,1}, {0,2}, {0,1,2} and {1,2},
-#: each with pruning and symmetry reduction on and off.
-FIRST_TREE_DIGEST = "1ef9d9f5fba83e0cd73203ad5f5b0df13d196e096b9658865d51d6988f970289"
+#: classes of 2x3,2x4 and 3x2,2x4 under {0,1}, {0,2} and {0,1,2}, each
+#: with pruning and symmetry reduction on and off.
+FIRST_TREE_DIGEST = "842d23c52134e5d1e1d8129f438311e7d628ce3cea23272f5731b7dbffd73bbf"
 
 
 def test_first_mode_trees_are_pinned_for_every_setting():
+    # Under {1,2} each star of these forests has a vertex with no
+    # out-arc, whose neighborhood is empty, so each search there that
+    # fits is refused before any walk.
     digest = hashlib.sha256()
-    searches = nodes = 0
+    searches = nodes = refused = 0
     for text in ("2x3,2x4", "3x2,2x4"):
         spec = ForestSpec.parse(text)
         for orientation in enumerate_forest_orientations(spec):
@@ -568,6 +633,11 @@ def test_first_mode_trees_are_pinned_for_every_setting():
                     for symmetry in (True, False):
                         r = search_labeling(g, D, budget=3000,
                                             prune=prune, symmetry=symmetry)
+                        if D == (1, 2):
+                            assert r.status is SearchStatus.EXHAUSTED
+                            assert r.nodes_explored == 0
+                            refused += r.shortcut == EQUAL_NEIGHBORHOODS
+                            continue
                         witness = None if r.witness is None else [
                             r.witness[v] for v in g.vertices
                         ]
@@ -577,7 +647,7 @@ def test_first_mode_trees_are_pinned_for_every_setting():
                         ]).encode())
                         searches += 1
                         nodes += r.nodes_explored
-    assert (searches, nodes) == (4800, 2_190_000)
+    assert (searches, nodes, refused) == (3600, 504_644, 1116)
     assert digest.hexdigest() == FIRST_TREE_DIGEST
 
 
