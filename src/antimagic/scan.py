@@ -16,13 +16,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .constructions import (  # the statuses and methods are re-exported
+from .constructions import (
     ABORTED,
     ANTIMAGIC,
-    BY_CONSTRUCTION,
-    BY_NECESSARY_CONDITION,
-    BY_SEARCH,
-    BY_UNFIT_DISTANCE_SET,
     NOT_ANTIMAGIC,
     Verdict,
     decide,

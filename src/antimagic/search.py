@@ -57,7 +57,9 @@ it a ``SearchResult``, and lets a witness out only once
 raises RuntimeError.
 
 Two refutations need no walk, and the search reports ``exhausted-none``
-at once with the shortcut named.  A distance set that does not fit the
+at once with the shortcut named, at any order and in every mode: the
+vertex cap of ``count`` and ``all`` holds only for a graph that would
+be walked.  A distance set that does not fit the
 graph (max(D) above the finite diameter) admits no D-antimagic labeling
 at all.  Neither does a graph in which two vertices have the same
 D-neighborhood, for they weigh the same under every labeling.  That is
@@ -438,10 +440,10 @@ def search_labeling(
     ``first`` stops at the first labeling in deterministic order;
     ``count`` visits the whole (symmetry-reduced) space and counts;
     ``all`` additionally returns every labeling found, as rows of
-    labels in ``g.vertices`` order.  The exhaustive
-    modes are capped by :func:`vertex_cap`; ``first`` is not, but a
-    budget is recommended beyond the cap.  A witness is returned only
-    once the verifier passes it.
+    labels in ``g.vertices`` order.  The exhaustive modes are capped
+    by :func:`vertex_cap` unless a refutation that walks nothing
+    answers; ``first`` is not, but a budget is recommended beyond the
+    cap.  A witness is returned only once the verifier passes it.
     """
     return search_joint_labeling(
         g, (D,), mode, budget, prune=prune, symmetry=symmetry
@@ -461,13 +463,9 @@ def search_joint_labeling(
     if mode not in ("first", "all", "count"):
         raise ValueError(f"mode must be first, all or count, got {mode!r}")
     n = len(g)
-    if mode in ("all", "count"):
-        cap = vertex_cap()
-        if n > cap:
-            raise VertexCapError(
-                f"mode={mode} is exhaustive and capped at {cap} vertices "
-                f"(graph has {n}; raise {ENV_VERTEX_CAP} to override)"
-            )
+    # Read now, so a malformed cap is refused whatever the graph, but
+    # enforced only after the two refutations that walk nothing.
+    cap = vertex_cap() if mode in ("all", "count") else n
     sets = tuple(DistanceSet.of(D) for D in distance_sets)
     if not sets:
         raise ValueError("need at least one distance set")
@@ -478,6 +476,11 @@ def search_joint_labeling(
     engine = _Engine(g, sets, prune, symmetry)
     if any(len(set(nbs)) < len(nbs) for nbs in engine.nbs):
         return _refuted(mode, EQUAL_NEIGHBORHOODS)
+    if n > cap:
+        raise VertexCapError(
+            f"mode={mode} is exhaustive and capped at {cap} vertices "
+            f"(graph has {n}; raise {ENV_VERTEX_CAP} to override)"
+        )
     aborted, nodes, first, count, rows = engine.run(mode, budget)
     witness = None
     if first is not None:

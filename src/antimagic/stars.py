@@ -9,78 +9,33 @@ forests over multisets of t values per group of same-size stars.
 Vertex naming is deterministic: a lone star uses center ``c`` and leaves
 ``l1``..``ln``; forests number their stars 1..M across groups and use
 ``c3`` / ``l3.2`` style names.
+
+The records are named tuples that check their fields in ``__new__``,
+which pickling and copying call but ``_make`` and ``_replace`` skip.
 """
 
 from __future__ import annotations
 
-from functools import total_ordering
+from collections import namedtuple
 from itertools import combinations_with_replacement, product
 
 from .graph import GraphError, OrientedGraph
 
 
-class _Record:
-    """Immutable value record whose fields are the subclass's ``__slots__``.
-
-    Equality, hashing and ``repr`` go by the fields in slot order, as
-    for a frozen dataclass; assigning or deleting a field raises
-    :class:`AttributeError`.  Subclasses validate in ``__init__`` and
-    store the fields with :meth:`_init`.
-    """
+class StarShape(namedtuple("StarShape", "n t")):
+    """Oriented star parameters: n leaves of which the first t are sources."""
 
     __slots__ = ()
 
-    def _init(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())
-        )
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._fields()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-@total_ordering
-class StarShape(_Record):
-    """Oriented star parameters: n leaves of which the first t are sources."""
-
-    __slots__ = ("n", "t")
-
-    def __init__(self, n: int, t: int):
+    def __new__(cls, n: int, t: int):
         if n < 1:
             raise ValueError(f"a star needs at least one leaf, got n={n}")
         if not 0 <= t <= n:
             raise ValueError(f"t must lie in 0..n, got t={t} for n={n}")
-        self._init(n, t)
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() < other._fields()
-        return NotImplemented
+        return super().__new__(cls, n, t)
 
 
-class StarGroup(_Record):
+class StarGroup(namedtuple("StarGroup", "count leaves sources")):
     """``count`` copies of K_{1,leaves} inside a forest.
 
     ``sources`` fixes the orientation, one t per copy, or is None for a
@@ -88,10 +43,10 @@ class StarGroup(_Record):
     passed to :func:`build_forest` separately).
     """
 
-    __slots__ = ("count", "leaves", "sources")
+    __slots__ = ()
 
-    def __init__(
-        self, count: int, leaves: int, sources: tuple[int, ...] | None = None
+    def __new__(
+        cls, count: int, leaves: int, sources: tuple[int, ...] | None = None
     ):
         if count < 1:
             raise ValueError(f"group needs at least one star, got {count}")
@@ -106,22 +61,20 @@ class StarGroup(_Record):
             for t in sources:
                 if not 0 <= t <= leaves:
                     raise ValueError(f"t must lie in 0..{leaves}, got {t}")
-        self._init(count, leaves, sources)
+        return super().__new__(cls, count, leaves, sources)
 
 
-class ForestSpec(_Record):
+class ForestSpec(namedtuple("ForestSpec", "groups")):
     """A star forest: groups of same-size stars with increasing leaf counts.
 
-    Groups must be ordered by strictly increasing leaf count (merge
-    same-size stars into one group; per-copy orientations cover the
-    mixed case).
+    Leaf counts strictly increase from group to group: same-size stars
+    form one group, with per-copy orientations for a mixed case.
     """
 
-    __slots__ = ("groups",)
+    __slots__ = ()
 
-    def __init__(self, groups: tuple[StarGroup, ...]):
+    def __new__(cls, groups: tuple[StarGroup, ...]):
         groups = tuple(groups)
-        self._init(groups)
         if not groups:
             raise ValueError("forest needs at least one group")
         sizes = [group.leaves for group in groups]
@@ -129,6 +82,7 @@ class ForestSpec(_Record):
             raise ValueError(
                 f"group leaf counts must strictly increase, got {sizes}"
             )
+        return super().__new__(cls, groups)
 
     @classmethod
     def parse(cls, text: str) -> "ForestSpec":

@@ -830,6 +830,32 @@ def test_search_exhaustive_mode_respects_vertex_cap(tmp_path, capsys):
     assert "ANTIMAGIC_NODE_CAP" in err
 
 
+@pytest.mark.parametrize("mode", ["count", "all"])
+@pytest.mark.parametrize(
+    "t, d, shortcut",
+    [(3, "1", "equal-neighborhoods"), (12, "0,2", "distance-set-exceeds-diameter")],
+    ids=["tied", "unfit"],
+)
+def test_a_refutation_without_a_walk_answers_above_the_vertex_cap(
+    t, d, shortcut, mode, tmp_path, capsys, monkeypatch
+):
+    # K_{1,12} has 13 vertices, above the default cap of 10.
+    path, _ = write_star_doc(tmp_path, 12, t)
+    argv = ["search", str(path), "--d", d, "--mode", mode]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 2
+    payload = json.loads(out)
+    assert (payload["count"], payload["nodes_explored"], payload["shortcut"]) == (
+        0, 0, shortcut
+    )
+    assert payload.get("labelings", []) == []
+    # A malformed cap is still refused before any answer.
+    monkeypatch.setenv("ANTIMAGIC_NODE_CAP", "ten")
+    code, _, err = run_cli(argv, capsys)
+    assert code == 64
+    assert "ANTIMAGIC_NODE_CAP must be an integer" in err
+
+
 def test_search_rejects_the_removed_workers_flag(tmp_path, capsys):
     path, _ = write_star_doc(tmp_path, 2, 1)
     code, _, err = run_cli(

@@ -4,13 +4,15 @@ from pathlib import Path
 import pytest
 
 from antimagic import DistanceSet, ForestSpec, verify_labeling
-from antimagic.scan import (
-    ABORTED,
-    ANTIMAGIC,
+from antimagic.constructions import (
     BY_CONSTRUCTION,
     BY_NECESSARY_CONDITION,
     BY_SEARCH,
     BY_UNFIT_DISTANCE_SET,
+)
+from antimagic.scan import (
+    ABORTED,
+    ANTIMAGIC,
     NOT_ANTIMAGIC,
     decide,
     forest_rule,

@@ -182,7 +182,7 @@ def test_the_vertex_cap_lives_in_graph_and_search_re_exports_it():
 def test_star_records_compare_hash_and_repr_by_fields():
     assert StarShape(n=3, t=1) == StarShape(3, 1)
     assert StarShape(3, 1) != StarShape(3, 2)
-    assert StarShape(3, 1) != (3, 1)
+    assert StarShape(3, 1) == (3, 1)
     assert hash(StarShape(3, 1)) == hash(StarShape(n=3, t=1))
     assert len({StarShape(3, 1), StarShape(3, 1), StarShape(2, 1)}) == 2
     assert repr(StarShape(3, 1)) == "StarShape(n=3, t=1)"
@@ -200,6 +200,12 @@ def test_star_records_compare_hash_and_repr_by_fields():
     for record in (StarShape(3, 1), group, spec):
         assert copy.deepcopy(record) == record
         assert pickle.loads(pickle.dumps(record)) == record
+        # Hashed as the tuple of its fields, which fixes set and dict order.
+        assert hash(record) == hash(tuple(record))
+        # No instance dict, so no stray attribute can be set.
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.extra = 1
 
 
 def test_star_shape_orders_like_its_fields():
@@ -209,8 +215,7 @@ def test_star_shape_orders_like_its_fields():
     ]
     assert StarShape(2, 1) < StarShape(2, 2) <= StarShape(2, 2)
     assert StarShape(3, 0) > StarShape(2, 2) >= StarShape(2, 2)
-    with pytest.raises(TypeError):
-        StarShape(2, 1) < (2, 2)
+    assert StarShape(2, 1) < (2, 2)
 
 
 @pytest.mark.parametrize(
